@@ -1,36 +1,28 @@
 // Golden-corpus parity checker: the record/replay differential harness's
 // CLI. `record` regenerates the checked-in golden artifacts (two recorded
-// frame corpora, the fp32 reference weights, the int8 edge model, and the
-// featurizer's object pool) and immediately re-validates the files it
-// wrote. `check` loads the artifacts and replays every implementation
-// pair the harness knows — fp32 vs int8 through the full supervisor,
-// per-cluster fp32 vs int8 logits, 1 vs N engine threads, adaptive vs
-// fixed-eps clustering — exiting nonzero when a gating pair diverges.
+// frame corpora as HWCC containers, the fp32 reference weights, the int8
+// edge model, and the featurizer's object pool) and immediately
+// re-validates the files it wrote. `check` loads the artifacts and
+// replays every implementation pair the harness knows — fp32 vs int8
+// through the full supervisor, per-cluster fp32 vs int8 logits, 1 vs N
+// engine threads, adaptive vs fixed-eps clustering — exiting nonzero when
+// a gating pair diverges. `verify` streams every chunk of a corpus
+// container (replay/container.hpp), checking each chunk's checksum and
+// decode while holding one chunk at a time.
 //
 //   parity_checker record <golden-dir>
 //   parity_checker check  <golden-dir> [--metrics]
-//
-// Plus the corpus-container drill (replay/container.hpp): pack an
-// envelope corpus or corpus set into a chunked compressed "HWCC"
-// container, unpack one back to its envelope form, and verify a
-// container by streaming every chunk (checksums + decode) — optionally
-// frame-for-frame bit-exact against the golden envelope it was packed
-// from:
-//
-//   parity_checker pack   <in.frames|in.hwfs> <out.hwcc> [--chunk N]
-//   parity_checker unpack <in.hwcc> <out-file>
-//   parity_checker verify <in.hwcc> [golden-file]
+//   parity_checker verify <in.hwcc>
 //
 // Everything that defines the golden setup (sensor geometry, model
-// architecture, seeds) is a constant below: `check` rebuilds the exact
-// model skeleton before loading weights, so the artifacts carry no
-// configuration of their own beyond the serialized tensors.
+// architecture, seeds, corpus chunking) is a constant below: `check`
+// rebuilds the exact model skeleton before loading weights, so the
+// artifacts carry no configuration of their own beyond the serialized
+// tensors.
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -38,7 +30,6 @@
 #include "classifiers/hawc_model.hpp"
 #include "classifiers/quantized_classifier.hpp"
 #include "replay/container.hpp"
-#include "replay/corpus_set.hpp"
 #include "replay/model_io.hpp"
 #include "replay/parity_checker.hpp"
 #include "replay/replay_driver.hpp"
@@ -58,6 +49,9 @@ constexpr std::uint64_t model_seed = 11;
 constexpr std::uint64_t clean_seed = 2024;
 constexpr std::uint64_t degraded_seed = 6021;
 constexpr std::size_t golden_target_points = 225;  // 15 x 15 projection grid
+// Frames per container chunk: smaller than either corpus, so the gate's
+// streaming read crosses chunk boundaries.
+constexpr std::size_t golden_frames_per_chunk = 4;
 
 capture_config golden_capture() {
     capture_config config;
@@ -95,8 +89,8 @@ struct golden_paths {
     std::filesystem::path pool;
 
     explicit golden_paths(const std::filesystem::path& dir)
-        : clean{dir / "clean.frames"},
-          degraded{dir / "degraded.frames"},
+        : clean{dir / "clean.hwcc"},
+          degraded{dir / "degraded.hwcc"},
           weights{dir / "hawc_fp32.weights"},
           qmodel{dir / "hawc_int8.qmodel"},
           pool{dir / "object.pool"} {}
@@ -115,8 +109,8 @@ loaded_golden load_golden(const golden_paths& paths) {
     object_pool pool = replay::load_object_pool_file(paths.pool);
     rng skeleton_rng{model_seed};  // init weights are overwritten by load
     loaded_golden golden{
-        replay::load_corpus_file(paths.clean),
-        replay::load_corpus_file(paths.degraded),
+        replay::unpack_corpus_file(paths.clean),
+        replay::unpack_corpus_file(paths.degraded),
         hawc_model{golden_model_config(), std::move(pool), skeleton_rng},
         replay::load_quantized_file(paths.qmodel),
     };
@@ -194,8 +188,9 @@ int run_record(const std::filesystem::path& dir) {
     const replay::frame_corpus clean = replay::record_corpus(clean_cfg);
     const replay::frame_corpus degraded = replay::record_corpus(degraded_cfg);
 
-    replay::save_corpus_file(paths.clean, clean);
-    replay::save_corpus_file(paths.degraded, degraded);
+    const replay::container_options packing{.frames_per_chunk = golden_frames_per_chunk};
+    replay::pack_corpus_file(paths.clean, clean, packing);
+    replay::pack_corpus_file(paths.degraded, degraded, packing);
     replay::save_weights_file(paths.weights, model.network());
     replay::save_quantized_file(paths.qmodel, q);
     replay::save_object_pool_file(paths.pool, ds.pool);
@@ -230,62 +225,9 @@ int run_check(const std::filesystem::path& dir, bool dump_metrics) {
     return ok ? 0 : 1;
 }
 
-// ---- corpus container pack / unpack / verify -----------------------------
+// ---- corpus container verify ---------------------------------------------
 
-std::uint32_t sniff_magic(const std::filesystem::path& path) {
-    std::ifstream in{path, std::ios::binary};
-    if (!in) throw io_error{"cannot open " + path.string()};
-    std::uint32_t magic = 0;
-    in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    if (!in) throw io_error{path.string() + ": too short to carry a magic"};
-    return magic;
-}
-
-int run_pack(const std::filesystem::path& in, const std::filesystem::path& out,
-             std::size_t chunk_frames) {
-    replay::container_options options;
-    if (chunk_frames > 0) options.frames_per_chunk = chunk_frames;
-
-    const std::uint32_t magic = sniff_magic(in);
-    std::size_t frames = 0;
-    if (magic == replay::frame_corpus_magic) {
-        const replay::frame_corpus corpus = replay::load_corpus_file(in);
-        frames = corpus.size();
-        replay::pack_corpus_file(out, corpus, options);
-    } else if (magic == replay::corpus_set_magic) {
-        const replay::pole_corpus_set set = replay::load_corpus_set_file(in);
-        frames = set.total_frames();
-        replay::pack_corpus_set_file(out, set, options);
-    } else {
-        std::cerr << "pack: " << in.string() << " is neither a frame corpus (HWFR) nor a "
-                  << "pole corpus set (HWFS)\n";
-        return 2;
-    }
-
-    const auto in_size = std::filesystem::file_size(in);
-    const auto out_size = std::filesystem::file_size(out);
-    std::cout << "packed " << in.string() << " (" << in_size << " B, " << frames
-              << " frames) -> " << out.string() << " (" << out_size << " B, ratio "
-              << (out_size > 0
-                      ? static_cast<double>(in_size) / static_cast<double>(out_size)
-                      : 0.0)
-              << "x)\n";
-    return 0;
-}
-
-int run_unpack(const std::filesystem::path& in, const std::filesystem::path& out) {
-    replay::container_reader reader{in};
-    if (reader.kind() == replay::container_kind::corpus) {
-        replay::save_corpus_file(out, replay::unpack_corpus(reader));
-    } else {
-        replay::save_corpus_set_file(out, replay::unpack_corpus_set(reader));
-    }
-    std::cout << "unpacked " << in.string() << " -> " << out.string() << "\n";
-    return 0;
-}
-
-int run_verify(const std::filesystem::path& container,
-               const std::filesystem::path& golden) {
+int run_verify(const std::filesystem::path& container) {
     replay::container_reader reader{container};
 
     // Stream every frame of every stream: each chunk is read, checksummed
@@ -312,37 +254,6 @@ int run_verify(const std::filesystem::path& container,
               << (stored > 0 ? static_cast<double>(uncompressed) / static_cast<double>(stored)
                              : 0.0)
               << "x), peak cache " << reader.cache_capacity() << " chunk(s)\n";
-
-    if (golden.empty()) return 0;
-
-    // Golden comparison: frame-for-frame bit-exact against the envelope
-    // artifact the container was packed from.
-    std::size_t divergent = 0;
-    const std::uint32_t magic = sniff_magic(golden);
-    if (magic == replay::frame_corpus_magic) {
-        const replay::frame_corpus want = replay::load_corpus_file(golden);
-        const replay::frame_corpus got = replay::unpack_corpus(reader);
-        if (got.name != want.name || got.base_seed != want.base_seed ||
-            got.size() != want.size()) {
-            ++divergent;
-        }
-        for (std::size_t i = 0; i < want.size() && i < got.size(); ++i) {
-            if (!(got.frames[i] == want.frames[i])) ++divergent;
-        }
-    } else if (magic == replay::corpus_set_magic) {
-        const replay::pole_corpus_set want = replay::load_corpus_set_file(golden);
-        const replay::pole_corpus_set got = replay::unpack_corpus_set(reader);
-        if (!(got == want)) ++divergent;
-    } else {
-        std::cerr << "verify: unrecognized golden artifact " << golden.string() << "\n";
-        return 2;
-    }
-    if (divergent != 0) {
-        std::cerr << "verify: container DIVERGES from " << golden.string() << " ("
-                  << divergent << " mismatch(es))\n";
-        return 1;
-    }
-    std::cout << "container matches " << golden.string() << " bit-exactly\n";
     return 0;
 }
 
@@ -350,14 +261,11 @@ int run_verify(const std::filesystem::path& container,
 
 int main(int argc, char** argv) {
     bool dump_metrics = false;
-    std::size_t chunk_frames = 0;
     std::string mode;
     std::vector<std::filesystem::path> paths;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--metrics") == 0) {
             dump_metrics = true;
-        } else if (std::strcmp(argv[i], "--chunk") == 0 && i + 1 < argc) {
-            chunk_frames = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
         } else if (mode.empty()) {
             mode = argv[i];
         } else {
@@ -372,20 +280,12 @@ int main(int argc, char** argv) {
         if (mode == "check") {
             return run_check(paths.empty() ? "data/golden" : paths[0], dump_metrics);
         }
-        if (mode == "pack" && paths.size() == 2) {
-            return run_pack(paths[0], paths[1], chunk_frames);
-        }
-        if (mode == "unpack" && paths.size() == 2) return run_unpack(paths[0], paths[1]);
-        if (mode == "verify" && !paths.empty()) {
-            return run_verify(paths[0], paths.size() > 1 ? paths[1] : "");
-        }
+        if (mode == "verify" && paths.size() == 1) return run_verify(paths[0]);
     } catch (const std::exception& e) {
         std::cerr << "parity_checker: " << e.what() << "\n";
         return 2;
     }
     std::cerr << "usage: parity_checker record|check [golden-dir] [--metrics]\n"
-                 "       parity_checker pack <in.frames|in.hwfs> <out.hwcc> [--chunk N]\n"
-                 "       parity_checker unpack <in.hwcc> <out-file>\n"
-                 "       parity_checker verify <in.hwcc> [golden-file]\n";
+                 "       parity_checker verify <in.hwcc>\n";
     return 2;
 }

@@ -116,30 +116,12 @@ cluster_count_result crowd_counter::count_clusters(std::span<const point_cloud> 
                                                    const telemetry_handle& telem) const {
     cluster_count_result result;
 
-    if (!classifier_->thread_safe()) {
-        // Single-stream sequential loop: classifiers with mutable
-        // per-call state (e.g. the chaos-injection wrapper) consume one
-        // shared rng in cluster order, exactly as the pre-pool pipeline.
-        for (const auto& cluster : clusters) {
-            if (cluster.size() < config_.min_cluster_points) continue;
-            if (time_budget.expired()) {
-                result.truncated = true;
-                break;
-            }
-            ++result.examined;
-            telemetry::scoped_span span{telem, "classify_cluster"};
-            result.count += count_one(cluster, random);
-        }
-        publish_cluster_metrics(telem, result);
-        return result;
-    }
-
-    // Parallel fan-out. The forked streams are drawn sequentially before
-    // any worker starts, so which rng a cluster sees never depends on
-    // scheduling; with the deadline unarmed (or unexpired) the outcome is
-    // byte-identical for every pool size. Deadline expiry skips whole
-    // clusters, mirroring the sequential loop's skip-the-rest semantics,
-    // and any skipped cluster flags the frame truncated.
+    // Every eligible cluster gets its own forked stream, drawn
+    // sequentially before any cluster is classified, so which rng a
+    // cluster sees never depends on scheduling; with the deadline unarmed
+    // (or unexpired) the outcome is byte-identical for every pool size.
+    // Deadline expiry skips whole clusters, and any skipped cluster flags
+    // the frame truncated.
     std::vector<const point_cloud*> eligible;
     eligible.reserve(clusters.size());
     for (const auto& cluster : clusters) {
@@ -154,17 +136,23 @@ cluster_count_result crowd_counter::count_clusters(std::span<const point_cloud> 
         bool skipped = false;
     };
     std::vector<item_outcome> items(eligible.size());
-    global_pool().parallel_for(0, eligible.size(), 1,
-                               [&](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
-                                   for (std::size_t i = lo; i < hi; ++i) {
-                                       if (time_budget.expired()) {
-                                           items[i].skipped = true;
-                                           continue;
-                                       }
-                                       telemetry::scoped_span span{telem, "classify_cluster"};
-                                       items[i].count = count_one(*eligible[i], streams[i]);
-                                   }
-                               });
+    auto classify = [&](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            if (time_budget.expired()) {
+                items[i].skipped = true;
+                continue;
+            }
+            telemetry::scoped_span span{telem, "classify_cluster"};
+            items[i].count = count_one(*eligible[i], streams[i]);
+        }
+    };
+    // Classifiers with mutable per-call state (e.g. the chaos-injection
+    // wrapper) run the same loop inline, in cluster order.
+    if (classifier_->thread_safe()) {
+        global_pool().parallel_for(0, eligible.size(), 1, classify);
+    } else {
+        classify(0, eligible.size(), 0);
+    }
 
     for (const auto& item : items) {
         if (item.skipped) {

@@ -87,11 +87,12 @@ public:
     /// policy. When `time_budget` is armed and expires, the remaining
     /// clusters are skipped and the result is flagged truncated.
     ///
-    /// When the classifier reports thread_safe(), clusters fan out across
-    /// the global pool, each on its own forked rng stream; the streams
-    /// and the reduction order are fixed before any worker runs, so the
-    /// result is identical for every thread count (including one).
-    /// Non-thread-safe classifiers keep the sequential single-stream loop.
+    /// Each cluster is classified on its own forked rng stream; the
+    /// streams and the reduction order are fixed before any cluster is
+    /// classified, so the result is identical for every thread count
+    /// (including one). When the classifier reports thread_safe(),
+    /// clusters fan out across the global pool; otherwise the same loop
+    /// runs inline, in cluster order.
     ///
     /// With a telemetry handle, each examined cluster emits a
     /// "classify_cluster" span under `telem.parent` (workers record into

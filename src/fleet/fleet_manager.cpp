@@ -243,40 +243,6 @@ alert quarantine_rate if rate(hawc_fleet_quarantines_total) > 0.02 window 16/64 
 )");
 }
 
-fleet_replay_result replay_corpus_set(fleet_manager& fleet,
-                                      const replay::pole_corpus_set& set,
-                                      std::uint64_t drain_ticks) {
-    HAWC_REQUIRE(set.pole_count() == fleet.pole_count(),
-                 "corpus set pole count must match the fleet");
-    std::size_t longest = 0;
-    for (std::size_t i = 0; i < set.poles.size(); ++i) {
-        HAWC_REQUIRE(set.poles[i].corpus.base_seed == fleet.pole(i).stream_seed(),
-                     "pole stream seed must equal its corpus base_seed");
-        longest = std::max(longest, set.poles[i].corpus.size());
-    }
-
-    fleet_replay_result result;
-    for (std::size_t frame = 0; frame < longest; ++frame) {
-        for (std::size_t i = 0; i < set.poles.size(); ++i) {
-            const auto& corpus = set.poles[i].corpus;
-            if (frame >= corpus.size()) continue;
-            link_message msg;
-            msg.frame_index = frame;
-            msg.ground_truth = corpus.frames[frame].ground_truth;
-            msg.cloud = corpus.frames[frame].cloud;
-            fleet.submit(i, std::move(msg));
-            ++result.frames_submitted;
-        }
-        fleet.tick();
-        ++result.ticks;
-    }
-    for (std::uint64_t i = 0; i < drain_ticks; ++i) {
-        fleet.tick();
-        ++result.ticks;
-    }
-    return result;
-}
-
 fleet_replay_result replay_container_set(fleet_manager& fleet,
                                          replay::container_reader& reader,
                                          std::uint64_t drain_ticks) {

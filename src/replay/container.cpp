@@ -199,9 +199,11 @@ void container_reader::open_and_validate() {
     if (trailing_magic != container_magic) throw io_error{"container: bad footer magic"};
     // The index must fill the gap between the chunk region and the footer
     // exactly — a tampered offset or size cannot pass this and the
-    // checksum together.
-    if (index_offset < header_size || index_size > file_size ||
-        index_offset + index_size != file_size - footer_size) {
+    // checksum together. Bounds are compared by subtraction here and
+    // below, so a crafted offset + size cannot wrap past 2^64.
+    const std::uint64_t footer_offset = file_size - footer_size;
+    if (index_offset < header_size || index_offset > footer_offset ||
+        index_size != footer_offset - index_offset) {
         throw io_error{"container: footer index bounds are inconsistent"};
     }
 
@@ -222,8 +224,8 @@ void container_reader::open_and_validate() {
     }
     kind_ = static_cast<container_kind>(kind);
     title_ = index.str();
-    const std::uint32_t frames_per_chunk = index.u32();
-    if (frames_per_chunk == 0) throw io_error{"container: zero frames_per_chunk"};
+    frames_per_chunk_ = index.u32();
+    if (frames_per_chunk_ == 0) throw io_error{"container: zero frames_per_chunk"};
 
     const std::uint32_t stream_count = index.u32();
     if (stream_count > index_size) throw io_error{"container: implausible stream count"};
@@ -264,8 +266,8 @@ void container_reader::open_and_validate() {
             throw io_error{"container: unknown chunk codec"};
         }
         entry.codec = static_cast<chunk_codec>(codec);
-        if (entry.file_offset < header_size || entry.stored_size > index_offset ||
-            entry.file_offset + entry.stored_size > index_offset) {
+        if (entry.file_offset < header_size || entry.file_offset > index_offset ||
+            entry.stored_size > index_offset - entry.file_offset) {
             throw io_error{"container: chunk bytes outside the chunk region"};
         }
         if (entry.uncompressed_size > container_max_chunk_bytes ||

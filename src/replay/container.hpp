@@ -1,11 +1,12 @@
 #pragma once
 
-// "HWCC" — the chunked, indexed, compressed corpus container: the
-// fleet-scale storage format the one-artifact-per-file envelope
-// (binary_io.hpp) cannot be. An envelope is slurped whole (capped at
-// 2 GiB); a container streams — readers seek by frame number and
-// decompress one chunk at a time, so a multi-hour multi-pole recording
-// replays with memory bounded by a chunk, not the corpus.
+// "HWCC" — the chunked, indexed, compressed corpus container, the one
+// on-disk format for recorded frame corpora and pole corpus sets. Unlike
+// the one-artifact-per-file envelope models use (binary_io.hpp), which
+// is slurped whole (capped at 2 GiB), a container streams — readers seek
+// by frame number and decompress one chunk at a time, so a multi-hour
+// multi-pole recording replays with memory bounded by a chunk, not the
+// corpus.
 //
 // File layout:
 //
@@ -25,10 +26,9 @@
 // checksummed: corruption localises to one chunk and surfaces as a clean
 // io_error when (and only when) that chunk is read.
 //
-// Chunk payloads are runs of the shared frame wire layout
-// (frame_format.hpp::write_frame_record), so a frame unpacked from a
-// container is bit-identical to the same frame loaded from an envelope —
-// the round_to_recorded round-trip contract carries over unchanged.
+// Chunk payloads are runs of the frame wire layout
+// (frame_format.hpp::write_frame_record), so a recorded corpus unpacks
+// bit-identically — the round_to_recorded round-trip contract.
 //
 // Readers validate before trusting: header magic/version/flags, footer
 // magic and offset/size consistency against the real file size, the
@@ -167,6 +167,9 @@ public:
 
     container_kind kind() const { return kind_; }
     const std::string& title() const { return title_; }
+    /// The writer's frames_per_chunk: re-packing the unpacked frames with
+    /// it reproduces a pack_* container byte for byte.
+    std::uint32_t frames_per_chunk() const { return frames_per_chunk_; }
     std::size_t stream_count() const { return streams_.size(); }
     const container_stream_info& stream(std::uint32_t s) const;
     std::uint64_t frame_count(std::uint32_t s) const { return stream(s).frame_count; }
@@ -197,6 +200,7 @@ private:
     container_reader_options options_;
     container_kind kind_ = container_kind::corpus;
     std::string title_;
+    std::uint32_t frames_per_chunk_ = 0;
     std::vector<container_stream_info> streams_;
     std::vector<chunk_entry> chunks_;
     std::vector<std::vector<std::size_t>> stream_chunks_;  // per stream, by first_frame

@@ -1,7 +1,6 @@
 #include "replay/frame_format.hpp"
 
-#include <fstream>
-#include <sstream>
+#include <bit>
 
 #include "common/error.hpp"
 #include "replay/binary_io.hpp"
@@ -12,6 +11,28 @@ std::size_t frame_corpus::total_points() const {
     std::size_t total = 0;
     for (const auto& f : frames) total += f.cloud.size();
     return total;
+}
+
+namespace {
+
+bool same_recorded_bits(double a, double b) {
+    return std::bit_cast<std::uint32_t>(static_cast<float>(a)) ==
+           std::bit_cast<std::uint32_t>(static_cast<float>(b));
+}
+
+}  // namespace
+
+bool frame_record::operator==(const frame_record& other) const {
+    if (ground_truth != other.ground_truth || cloud.size() != other.cloud.size()) return false;
+    for (std::size_t i = 0; i < cloud.size(); ++i) {
+        const vec3& a = cloud[i];
+        const vec3& b = other.cloud[i];
+        if (!same_recorded_bits(a.x, b.x) || !same_recorded_bits(a.y, b.y) ||
+            !same_recorded_bits(a.z, b.z)) {
+            return false;
+        }
+    }
+    return true;
 }
 
 point_cloud round_to_recorded(const point_cloud& cloud) {
@@ -50,48 +71,6 @@ frame_record read_frame_record(byte_reader& in) {
         frame.cloud.push_back({x, y, z});
     }
     return frame;
-}
-
-void save_corpus(std::ostream& out, const frame_corpus& corpus) {
-    byte_writer payload;
-    payload.str(corpus.name);
-    payload.u64(corpus.base_seed);
-    payload.u64(static_cast<std::uint64_t>(corpus.frames.size()));
-    for (const auto& frame : corpus.frames) write_frame_record(payload, frame);
-    write_envelope(out, frame_corpus_magic, frame_corpus_version, payload);
-}
-
-frame_corpus load_corpus(std::istream& in) {
-    const envelope env = read_envelope(in, frame_corpus_magic, frame_corpus_version,
-                                       "frame corpus");
-    byte_reader reader{env.payload};
-    frame_corpus corpus;
-    corpus.name = reader.str();
-    corpus.base_seed = reader.u64();
-    const std::uint64_t frame_count = reader.u64();
-    // Each frame needs at least its 12-byte fixed header; anything larger
-    // cannot fit in the checksummed payload we just validated.
-    if (frame_count > env.payload.size()) {
-        throw io_error{"frame corpus: implausible frame count"};
-    }
-    corpus.frames.reserve(static_cast<std::size_t>(frame_count));
-    for (std::uint64_t f = 0; f < frame_count; ++f) {
-        corpus.frames.push_back(read_frame_record(reader));
-    }
-    reader.expect_exhausted("frame corpus");
-    return corpus;
-}
-
-void save_corpus_file(const std::filesystem::path& path, const frame_corpus& corpus) {
-    std::ofstream out{path, std::ios::binary};
-    if (!out) throw io_error{"cannot open " + path.string() + " for writing"};
-    save_corpus(out, corpus);
-}
-
-frame_corpus load_corpus_file(const std::filesystem::path& path) {
-    std::ifstream in{path, std::ios::binary};
-    if (!in) throw io_error{"cannot open " + path.string()};
-    return load_corpus(in);
 }
 
 }  // namespace hawc::replay

@@ -1,20 +1,18 @@
 #pragma once
 
-// Versioned binary format for recorded point-cloud frame sequences — the
-// "record" half of record/replay. A corpus is a named, seeded sequence of
-// raw captures (plus per-frame ground truth) that can be checked in as a
-// small golden file and replayed deterministically through the pipeline;
-// see DESIGN.md "Replay & parity" for the format layout and the
-// determinism contract.
+// Recorded point-cloud frame sequences — the "record" half of
+// record/replay. A corpus is a named, seeded sequence of raw captures
+// (plus per-frame ground truth) that is stored in an HWCC container
+// (container.hpp), can be checked in as a small golden file, and replays
+// deterministically through the pipeline; see DESIGN.md "Replay & parity"
+// for the determinism contract.
 //
 // Point coordinates are stored as float32: golden corpora are recorded
 // sensor data, and the recorder rounds its in-memory clouds to float
 // before returning them (see round_to_recorded), so that a recorded
-// corpus, its file, and every future load of that file are bit-identical.
+// corpus, its container, and every future unpack of it are bit-identical.
 
 #include <cstdint>
-#include <filesystem>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -22,16 +20,17 @@
 
 namespace hawc::replay {
 
-inline constexpr std::uint32_t frame_corpus_magic = 0x52465748;  // "HWFR"
-inline constexpr std::uint16_t frame_corpus_version = 1;
-
 /// One recorded capture: the raw cloud as the sensor (or fault injector)
 /// emitted it, plus the simulation ground truth for accuracy tracking.
 struct frame_record {
     point_cloud cloud;
     std::uint32_t ground_truth = 0;
 
-    bool operator==(const frame_record&) const = default;
+    /// Equal when the ground truth matches and every coordinate has the
+    /// same float32 bit pattern — what the wire layout stores. A recorded
+    /// NaN return therefore equals itself, which IEEE comparison of the
+    /// coordinates would deny.
+    bool operator==(const frame_record& other) const;
 };
 
 /// A recorded frame sequence. `base_seed` seeds the deterministic
@@ -50,23 +49,16 @@ struct frame_corpus {
 
 /// Round every coordinate to its float32 representation — what the
 /// on-disk format preserves. Recorded corpora pass through this before
-/// being returned so save/load round-trips bit-exactly.
+/// being returned so pack/unpack round-trips bit-exactly.
 point_cloud round_to_recorded(const point_cloud& cloud);
 
 class byte_writer;
 class byte_reader;
 
-/// One frame in the shared wire layout (u32 ground truth, u64 point
-/// count, f32 x/y/z per point) — the unit both the corpus envelope
-/// payload and the container's chunk payloads (container.hpp) are built
-/// from, so a frame read from either path is bit-identical.
+/// One frame in the wire layout (u32 ground truth, u64 point count, f32
+/// x/y/z per point) — the unit the container's chunk payloads
+/// (container.hpp) are built from.
 void write_frame_record(byte_writer& out, const frame_record& frame);
 frame_record read_frame_record(byte_reader& in);
-
-void save_corpus(std::ostream& out, const frame_corpus& corpus);
-frame_corpus load_corpus(std::istream& in);
-
-void save_corpus_file(const std::filesystem::path& path, const frame_corpus& corpus);
-frame_corpus load_corpus_file(const std::filesystem::path& path);
 
 }  // namespace hawc::replay

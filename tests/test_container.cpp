@@ -7,16 +7,19 @@
 // (a sequential walk decodes each chunk exactly once), an exhaustive
 // single-byte corruption + truncation sweep over a whole container file,
 // and replay parity: a packed corpus replays bit-identically to its
-// envelope original, solo and through a fleet.
+// in-memory original, and a fleet's healthy poles match solo replays of
+// their streams.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -303,6 +306,54 @@ TEST(container, corpus_set_round_trips_bit_exactly) {
     EXPECT_EQ(unpack_corpus_set(reader), set);
 }
 
+TEST(container, non_finite_returns_compare_equal_and_round_trip) {
+    // Every frame carries NaN returns: equality compares the recorded
+    // float32 bit patterns, so a corpus equals itself and its round trip.
+    record_config config;
+    config.name = "nan";
+    config.frames = 3;
+    config.capture.sensor.channels = 16;
+    config.capture.sensor.azimuth_steps = 256;
+    config.inject_faults = true;
+    config.faults.non_finite_prob = 1.0;
+    const frame_corpus corpus = record_corpus(config);
+    ASSERT_TRUE(std::any_of(corpus.frames[0].cloud.begin(), corpus.frames[0].cloud.end(),
+                            [](const vec3& p) {
+                                return std::isnan(p.x) || std::isnan(p.y) || std::isnan(p.z);
+                            }));
+    EXPECT_EQ(corpus, corpus);
+
+    std::ostringstream out;
+    pack_corpus(out, corpus, {.frames_per_chunk = 2});
+    std::istringstream in{out.str()};
+    container_reader reader{in};
+    EXPECT_EQ(unpack_corpus(reader), corpus);
+}
+
+TEST(container, repacking_unpacked_frames_reproduces_the_bytes) {
+    // A pack_* container is canonical: unpacking it and re-packing with
+    // its own frames_per_chunk gives the same file, byte for byte.
+    std::ostringstream corpus_out;
+    pack_corpus(corpus_out, synth_corpus(79, 7), {.frames_per_chunk = 3});
+    {
+        std::istringstream in{corpus_out.str()};
+        container_reader reader{in};
+        std::ostringstream again;
+        pack_corpus(again, unpack_corpus(reader), {.frames_per_chunk = reader.frames_per_chunk()});
+        EXPECT_EQ(again.str(), corpus_out.str());
+    }
+    std::ostringstream set_out;
+    pack_corpus_set(set_out, synth_set(3, 5), {.frames_per_chunk = 2});
+    {
+        std::istringstream in{set_out.str()};
+        container_reader reader{in};
+        std::ostringstream again;
+        pack_corpus_set(again, unpack_corpus_set(reader),
+                        {.frames_per_chunk = reader.frames_per_chunk()});
+        EXPECT_EQ(again.str(), set_out.str());
+    }
+}
+
 TEST(container, empty_corpus_round_trips) {
     frame_corpus corpus;
     corpus.name = "empty";
@@ -395,30 +446,32 @@ TEST(container, writer_enforces_protocol) {
 // ---- container: corruption sweep -----------------------------------------
 
 TEST(container, every_single_byte_flip_is_detected) {
-    const frame_corpus corpus = synth_corpus(59, 3);
-    std::ostringstream out;
-    pack_corpus(out, corpus, {.frames_per_chunk = 2});
-    const std::string bytes = out.str();
+    std::ostringstream corpus_out;
+    pack_corpus(corpus_out, synth_corpus(59, 3), {.frames_per_chunk = 2});
+    std::ostringstream set_out;
+    pack_corpus_set(set_out, synth_set(2, 2), {.frames_per_chunk = 1});
 
     // Every byte of the file is covered by a validation: header fields,
     // chunk checksums, the index checksum, or the footer's exact-fit and
     // magic checks. Flipping any one byte must surface as io_error — at
     // open or at the frame read that touches the poisoned chunk.
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-        std::string bad = bytes;
-        bad[i] = static_cast<char>(bad[i] ^ 0xff);
-        std::istringstream in{bad};
-        EXPECT_THROW(
-            {
-                container_reader reader{in};
-                for (std::uint32_t s = 0; s < reader.stream_count(); ++s) {
-                    for (std::uint64_t f = 0; f < reader.frame_count(s); ++f) {
-                        (void)reader.frame(s, f);
+    for (const std::string& bytes : {corpus_out.str(), set_out.str()}) {
+        for (std::size_t i = 0; i < bytes.size(); ++i) {
+            std::string bad = bytes;
+            bad[i] = static_cast<char>(bad[i] ^ 0xff);
+            std::istringstream in{bad};
+            EXPECT_THROW(
+                {
+                    container_reader reader{in};
+                    for (std::uint32_t s = 0; s < reader.stream_count(); ++s) {
+                        for (std::uint64_t f = 0; f < reader.frame_count(s); ++f) {
+                            (void)reader.frame(s, f);
+                        }
                     }
-                }
-            },
-            io_error)
-            << "byte " << i << " of " << bytes.size();
+                },
+                io_error)
+                << "byte " << i << " of " << bytes.size();
+        }
     }
 }
 
@@ -441,6 +494,69 @@ TEST(container, every_truncation_is_detected) {
     }
 }
 
+TEST(container, index_bounds_that_wrap_fail_at_open) {
+    const frame_corpus corpus = synth_corpus(73, 2);
+    std::ostringstream out;
+    pack_corpus(out, corpus);
+    const std::string bytes = out.str();
+    const std::size_t footer = bytes.size() - 28;
+    std::uint64_t index_offset = 0;
+    std::uint64_t index_size = 0;
+    std::memcpy(&index_offset, bytes.data() + footer, sizeof(index_offset));
+    std::memcpy(&index_size, bytes.data() + footer + 8, sizeof(index_size));
+    chunk_entry first;
+    {
+        std::istringstream in{bytes};
+        const container_reader reader{in};
+        ASSERT_EQ(reader.chunks().size(), 1u);
+        first = reader.chunks()[0];
+    }
+    constexpr std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+    auto put = [](std::string& b, std::size_t at, std::uint64_t v) {
+        std::memcpy(b.data() + at, &v, sizeof(v));
+    };
+    // Re-sign the index so only the bounds checks stand between the
+    // tampered fields and the reader.
+    auto resign = [&](std::string& b) {
+        put(b, footer + 16, fnv1a64(b.data() + index_offset, index_size));
+    };
+
+    {  // chunk [2^64-1, +1): the end wraps to 0 and would pass a summed check
+        std::string bad = bytes;
+        char sizes[24];  // file_offset | stored_size | uncompressed_size
+        std::memcpy(sizes, &first.file_offset, 8);
+        std::memcpy(sizes + 8, &first.stored_size, 8);
+        std::memcpy(sizes + 16, &first.uncompressed_size, 8);
+        const std::size_t at = bad.find(std::string_view{sizes, sizeof(sizes)}, index_offset);
+        ASSERT_NE(at, std::string::npos);
+        put(bad, at, top);
+        put(bad, at + 8, 1);
+        put(bad, at + 16, 1);  // a consistent 1-byte chunk, raw or lz
+        resign(bad);
+        std::istringstream in{bad};
+        try {
+            container_reader reader{in};
+            FAIL() << "a wrapping chunk range opened cleanly";
+        } catch (const io_error& e) {
+            EXPECT_NE(std::string{e.what()}.find("outside the chunk region"), std::string::npos)
+                << e.what();
+        }
+    }
+    {  // footer: index_offset + index_size wraps onto the footer offset
+        std::string bad = bytes;
+        put(bad, footer, top - 3);          // 2^64 - 4
+        put(bad, footer + 8, footer + 4);   // sum wraps to `footer`
+        std::istringstream in{bad};
+        try {
+            container_reader reader{in};
+            FAIL() << "a wrapping footer opened cleanly";
+        } catch (const io_error& e) {
+            EXPECT_NE(std::string{e.what()}.find("footer index bounds"), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(container, rejects_header_tampering) {
     const frame_corpus corpus = synth_corpus(67, 2);
     std::ostringstream out;
@@ -460,8 +576,8 @@ TEST(container, rejects_header_tampering) {
         std::istringstream in{patched(6, 0x0001)};
         EXPECT_THROW(container_reader{in}, io_error);
     }
-    {  // an envelope is not a container
-        std::istringstream in{std::string{"HWFR then some junk that is long enough....."}};
+    {  // another artifact's magic is not a container
+        std::istringstream in{std::string{"WXYZ then some junk that is long enough....."}};
         EXPECT_THROW(container_reader{in}, io_error);
     }
 }
@@ -491,50 +607,41 @@ TEST(container, replay_container_matches_replay_corpus_bit_for_bit) {
     EXPECT_EQ(packed.absolute_count_error, baseline.absolute_count_error);
 }
 
-TEST(container, fleet_replay_from_container_matches_materialized_set) {
+TEST(container, fleet_replay_from_container_matches_solo_replays) {
     const pole_corpus_set set = synth_set(3, 10);
     const extent_classifier classifier;
 
-    auto make_fleet = [&]() {
-        std::vector<fleet::pole_setup> setups(set.pole_count());
-        for (std::size_t i = 0; i < set.pole_count(); ++i) {
-            setups[i].pole_id = set.poles[i].pole_id;
-            setups[i].seed = set.poles[i].corpus.base_seed;
-            setups[i].supervisor = det_config();
-            setups[i].primary = &classifier;
-        }
-        auto fleet = std::make_unique<fleet::fleet_manager>(fleet::fleet_config{}, setups);
-        for (std::size_t i = 0; i < set.pole_count(); ++i) {
-            fleet->pole(i).set_record_history(true);
-        }
-        return fleet;
-    };
-
-    auto baseline_fleet = make_fleet();
-    const auto baseline = replay_corpus_set(*baseline_fleet, set, 8);
+    std::vector<fleet::pole_setup> setups(set.pole_count());
+    for (std::size_t i = 0; i < set.pole_count(); ++i) {
+        setups[i].pole_id = set.poles[i].pole_id;
+        setups[i].seed = set.poles[i].corpus.base_seed;
+        setups[i].supervisor = det_config();
+        setups[i].primary = &classifier;
+    }
+    fleet::fleet_manager fleet{fleet::fleet_config{}, setups};
+    for (std::size_t i = 0; i < set.pole_count(); ++i) fleet.pole(i).set_record_history(true);
 
     std::ostringstream out;
     pack_corpus_set(out, set, {.frames_per_chunk = 4});
     std::istringstream in{out.str()};
     container_reader reader{in};
-    auto packed_fleet = make_fleet();
-    const auto packed = fleet::replay_container_set(*packed_fleet, reader, 8);
+    const auto packed = fleet::replay_container_set(fleet, reader, 8);
 
-    EXPECT_EQ(packed.ticks, baseline.ticks);
-    EXPECT_EQ(packed.frames_submitted, baseline.frames_submitted);
+    EXPECT_EQ(packed.ticks, 10u + 8u);
+    EXPECT_EQ(packed.frames_submitted, set.total_frames());
     // Round-robin streaming widened the cache to one chunk per pole.
     EXPECT_EQ(reader.cache_capacity(), set.pole_count());
     EXPECT_EQ(reader.chunks_decoded(), reader.chunks().size());
-    for (std::size_t p = 0; p < set.pole_count(); ++p) {
-        const auto& want = baseline_fleet->pole(p).history();
-        const auto& got = packed_fleet->pole(p).history();
-        ASSERT_EQ(got.size(), want.size()) << "pole " << p;
-        for (std::size_t f = 0; f < want.size(); ++f) {
-            EXPECT_EQ(got[f].count, want[f].count) << "pole " << p << " frame " << f;
-            EXPECT_EQ(got[f].status, want[f].status) << "pole " << p << " frame " << f;
+    for (std::uint32_t p = 0; p < set.pole_count(); ++p) {
+        frame_supervisor solo{det_config(), classifier};
+        const replay_result want = replay_container(solo, reader, p);
+        const auto& got = fleet.pole(p).history();
+        ASSERT_EQ(got.size(), want.reports.size()) << "pole " << p;
+        for (std::size_t f = 0; f < got.size(); ++f) {
+            EXPECT_EQ(got[f].count, want.reports[f].count) << "pole " << p << " frame " << f;
+            EXPECT_EQ(got[f].status, want.reports[f].status) << "pole " << p << " frame " << f;
         }
     }
-    EXPECT_EQ(baseline_fleet->snapshot().aggregate, packed_fleet->snapshot().aggregate);
 }
 
 TEST(container, fleet_replay_rejects_mismatched_containers) {

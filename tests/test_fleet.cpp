@@ -12,11 +12,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <thread>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "fleet/fleet_manager.hpp"
+#include "replay/corpus_set.hpp"
+#include "replay/replay_driver.hpp"
 #include "runtime/fault_injection.hpp"
 #include "telemetry/export.hpp"
 
@@ -589,13 +592,16 @@ TEST(fleet, healthy_poles_bit_identical_to_solo_replay) {
     fleet::fleet_manager fleet{{}, setups};
     fleet.pole(0).set_record_history(true);
     fleet.pole(2).set_record_history(true);
-    const auto result = replay_corpus_set(fleet, set, 8);
+    std::ostringstream packed;
+    replay::pack_corpus_set(packed, set);
+    std::istringstream in{packed.str()};
+    replay::container_reader reader{in};
+    const auto result = fleet::replay_container_set(fleet, reader, 8);
     EXPECT_EQ(result.frames_submitted, 3 * frames);
 
-    for (const std::size_t pole : {std::size_t{0}, std::size_t{2}}) {
+    for (const std::uint32_t pole : {0u, 2u}) {
         frame_supervisor solo{det_config(), classifier};
-        const replay::replay_result baseline =
-            replay::replay_corpus(solo, set.poles[pole].corpus);
+        const replay::replay_result baseline = replay::replay_container(solo, reader, pole);
         const auto& history = fleet.pole(pole).history();
         ASSERT_EQ(history.size(), frames) << "pole " << pole;
         for (std::size_t f = 0; f < frames; ++f) {

@@ -1,8 +1,9 @@
 // Tests for the record/replay + parity subsystem: the checksummed binary
-// envelope, corpus and model serialization round trips (bit-exact),
-// corruption detection, deterministic recording/replaying, and the
-// differential parity checker's ability to both pass identical pairs and
-// flag genuinely divergent ones.
+// envelope, corpus (via the HWCC container) and model serialization round
+// trips (bit-exact), corruption detection, deterministic recording and
+// replaying, point-order invariance, and the differential parity
+// checker's ability to both pass identical pairs and flag genuinely
+// divergent ones.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "nn/dense.hpp"
 #include "quant/calibrate.hpp"
 #include "replay/binary_io.hpp"
+#include "replay/container.hpp"
 #include "replay/corpus_set.hpp"
 #include "replay/frame_format.hpp"
 #include "replay/model_io.hpp"
@@ -242,20 +244,10 @@ TEST(frame_corpus, round_trips_bit_exactly) {
     EXPECT_GT(corpus.total_points(), 0u);
 
     std::ostringstream out;
-    save_corpus(out, corpus);
+    pack_corpus(out, corpus);
     std::istringstream in{out.str()};
-    const frame_corpus loaded = load_corpus(in);
-    EXPECT_EQ(loaded, corpus);  // bit-exact, including every coordinate
-}
-
-TEST(frame_corpus, corrupted_file_fails_cleanly) {
-    const frame_corpus corpus = record_corpus(test_record());
-    std::ostringstream out;
-    save_corpus(out, corpus);
-    std::string bytes = out.str();
-    bytes[bytes.size() / 2] ^= 0x01;
-    std::istringstream in{bytes};
-    EXPECT_THROW(load_corpus(in), io_error);
+    container_reader reader{in};
+    EXPECT_EQ(unpack_corpus(reader), corpus);  // bit-exact, including every coordinate
 }
 
 // ---- multi-pole corpus sets ---------------------------------------------
@@ -267,10 +259,10 @@ TEST(corpus_set, round_trips_bit_exactly) {
     EXPECT_EQ(set.total_frames(), 6u);
 
     std::ostringstream out;
-    save_corpus_set(out, set);
+    pack_corpus_set(out, set);
     std::istringstream in{out.str()};
-    const pole_corpus_set loaded = load_corpus_set(in);
-    EXPECT_EQ(loaded, set);
+    container_reader reader{in};
+    EXPECT_EQ(unpack_corpus_set(reader), set);
 }
 
 TEST(corpus_set, poles_get_distinct_seeds_and_names) {
@@ -287,17 +279,6 @@ TEST(corpus_set, poles_get_distinct_seeds_and_names) {
     const pole_corpus_set again =
         record_corpus_set(test_record(/*seed=*/91, /*frames=*/2), {"east", "west"});
     EXPECT_EQ(again, set);
-}
-
-TEST(corpus_set, corrupted_stream_fails_cleanly) {
-    const pole_corpus_set set =
-        record_corpus_set(test_record(/*seed=*/91, /*frames=*/2), {"p0", "p1"});
-    std::ostringstream out;
-    save_corpus_set(out, set);
-    std::string bytes = out.str();
-    bytes[bytes.size() / 2] ^= 0x01;
-    std::istringstream in{bytes};
-    EXPECT_THROW(load_corpus_set(in), io_error);
 }
 
 TEST(frame_corpus, fault_injected_recording_differs) {
@@ -438,6 +419,55 @@ TEST(replay, deterministic_across_runs) {
         EXPECT_EQ(ra.reports[i].chosen_eps, rb.reports[i].chosen_eps);
     }
     EXPECT_EQ(ra.frames_ok + ra.frames_degraded + ra.frames_dropped, corpus.size());
+}
+
+TEST(replay, count_is_invariant_to_point_order) {
+    record_config faulty = test_record(/*seed=*/83, /*frames=*/6);
+    faulty.name = "faulty";
+    faulty.inject_faults = true;
+    faulty.faults.beam_dropout_prob = 0.25;
+    faulty.faults.range_jitter_prob = 0.25;
+    faulty.faults.non_finite_prob = 0.25;
+    faulty.faults.duplicate_points_prob = 0.25;
+    const size_threshold_classifier classifier{10};
+    supervisor_config config;
+    config.capture = test_capture();
+    config.eps_selection_deadline_ms = 0;  // wall clock must not pick the path
+    config.classification_deadline_ms = 0;
+    config.frame_deadline_ms = 0;
+
+    const std::size_t original_lanes = global_pool().thread_count();
+    for (const frame_corpus& corpus : {record_corpus(test_record()), record_corpus(faulty)}) {
+        for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
+            set_global_thread_count(lanes);
+            frame_supervisor reference_sup{config, classifier};
+            const replay_result reference = replay_corpus(reference_sup, corpus);
+            for (std::uint64_t shuffle = 1; shuffle <= 5; ++shuffle) {
+                frame_corpus shuffled = corpus;
+                for (std::size_t f = 0; f < shuffled.size(); ++f) {
+                    point_cloud& cloud = shuffled.frames[f].cloud;
+                    rng order{frame_seed(shuffle, f)};
+                    for (std::size_t i = cloud.size(); i > 1; --i) {
+                        std::swap(cloud[i - 1], cloud[order.uniform_index(i)]);
+                    }
+                }
+                frame_supervisor sup{config, classifier};
+                const replay_result got = replay_corpus(sup, shuffled);
+                for (std::size_t f = 0; f < corpus.size(); ++f) {
+                    const frame_report& want = reference.reports[f];
+                    const frame_report& have = got.reports[f];
+                    const std::string where = corpus.name + " lanes " + std::to_string(lanes) +
+                                              " shuffle " + std::to_string(shuffle) +
+                                              " frame " + std::to_string(f);
+                    EXPECT_EQ(have.count, want.count) << where;
+                    EXPECT_EQ(have.cluster_count, want.cluster_count) << where;
+                    EXPECT_EQ(have.chosen_eps, want.chosen_eps) << where;
+                    EXPECT_EQ(have.status, want.status) << where;
+                }
+            }
+        }
+    }
+    set_global_thread_count(original_lanes);
 }
 
 TEST(parity, identical_pair_has_zero_divergences) {
