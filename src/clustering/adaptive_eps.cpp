@@ -9,32 +9,6 @@
 
 namespace hawc {
 
-std::vector<double> knn_distance_curve(const point_cloud& cloud, std::size_t k,
-                                       const cluster_metric& metric) {
-    HAWC_REQUIRE(k >= 1, "k must be at least 1");
-    std::vector<double> distances;
-    if (cloud.size() <= k) return distances;
-
-    const point_cloud scaled = metric.scale(cloud);
-    const kd_tree tree{scaled};
-    distances.resize(scaled.size());
-    // One independent k-NN query per point: fan out over the pool with a
-    // reused allocation-free scratch buffer per chunk. The sort below
-    // erases chunk order, but even the unsorted curve is identical for
-    // any thread count.
-    global_pool().parallel_for(0, scaled.size(), 64, [&](std::size_t lo, std::size_t hi,
-                                                         std::size_t /*slot*/) {
-        std::vector<neighbor> neighbors;
-        for (std::size_t i = lo; i < hi; ++i) {
-            // k+1 because the query point itself is its own 0-th neighbour.
-            tree.nearest_into(scaled[i], k + 1, neighbors);
-            distances[i] = neighbors.back().distance;
-        }
-    });
-    std::sort(distances.begin(), distances.end());
-    return distances;
-}
-
 std::size_t knee_index(std::span<const double> ascending) {
     HAWC_REQUIRE(ascending.size() >= 2, "knee needs at least two samples");
     std::size_t best = ascending.size() - 1;
@@ -56,16 +30,27 @@ std::vector<double> knn_distance_curve_scaled(const point_cloud& scaled_cloud,
     std::vector<double> distances;
     if (scaled_cloud.size() <= k) return distances;
     distances.resize(scaled_cloud.size());
+    // One independent k-NN query per point: fan out over the pool with a
+    // reused allocation-free scratch buffer per chunk. The sort below
+    // erases chunk order, but even the unsorted curve is identical for
+    // any thread count.
     global_pool().parallel_for(0, scaled_cloud.size(), 64, [&](std::size_t lo, std::size_t hi,
                                                                std::size_t /*slot*/) {
         std::vector<neighbor> neighbors;
         for (std::size_t i = lo; i < hi; ++i) {
+            // k+1 because the query point itself is its own 0-th neighbour.
             tree.nearest_into(scaled_cloud[i], k + 1, neighbors);
             distances[i] = neighbors.back().distance;
         }
     });
     std::sort(distances.begin(), distances.end());
     return distances;
+}
+
+std::vector<double> knn_distance_curve(const point_cloud& cloud, std::size_t k,
+                                       const cluster_metric& metric) {
+    const point_cloud scaled = metric.scale(cloud);
+    return knn_distance_curve_scaled(scaled, kd_tree{scaled}, k);
 }
 
 double epsilon_from_curve(std::span<const double> curve, const adaptive_eps_config& config) {

@@ -41,27 +41,33 @@ tensor project_views(const point_cloud& cloud, const vec3& anchor,
     HAWC_REQUIRE(d * d == config.target_points, "target_points must be a perfect square");
     HAWC_REQUIRE(cloud.size() == config.target_points, "cluster must be up-sampled first");
 
-    // Sort (point, sigma) jointly into the canonical anchor order.
-    std::vector<std::size_t> order(cloud.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        const double ra = std::hypot(cloud[a].x - anchor.x, cloud[a].y - anchor.y);
-        const double rb = std::hypot(cloud[b].x - anchor.x, cloud[b].y - anchor.y);
-        if (ra != rb) return ra < rb;
-        return cloud[a].z < cloud[b].z;
+    // Canonical anchor order: ascending horizontal radius, ties broken by
+    // height. Each radius is computed once up front; the comparator then
+    // answers every pair exactly as recomputing std::hypot per comparison
+    // would, so std::sort makes the same permutation (DESIGN.md §6).
+    struct keyed_point {
+        double radius;
+        double z;
+        std::size_t index;
+    };
+    std::vector<keyed_point> order(cloud.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        order[i] = {std::hypot(cloud[i].x - anchor.x, cloud[i].y - anchor.y), cloud[i].z, i};
+    }
+    std::sort(order.begin(), order.end(), [](const keyed_point& a, const keyed_point& b) {
+        if (a.radius != b.radius) return a.radius < b.radius;
+        return a.z < b.z;
     });
-    std::vector<vec3> points;
-    points.reserve(cloud.size());
-    for (auto i : order) points.push_back(cloud[i]);
 
-    std::vector<double> sigma;
-    if (sigma_in.empty()) {
-        // Fall back: height variation over the whole up-sampled cloud.
-        sigma = height_variation(point_cloud{points}, config.knn_k);
-    } else {
+    std::vector<double> fallback_sigma;
+    if (!sigma_in.empty()) {
         HAWC_REQUIRE(sigma_in.size() == cloud.size(), "sigma must align with the cloud");
-        sigma.reserve(cloud.size());
-        for (auto i : order) sigma.push_back(sigma_in[i]);
+    } else if (with_height_channel) {
+        // Fall back: height variation over the whole up-sampled cloud.
+        point_cloud sorted;
+        sorted.reserve(cloud.size());
+        for (const auto& k : order) sorted.push_back(cloud[k.index]);
+        fallback_sigma = height_variation(sorted, config.knn_k);
     }
 
     const std::size_t channels = with_height_channel ? 7 : 6;
@@ -74,29 +80,32 @@ tensor project_views(const point_cloud& cloud, const vec3& anchor,
     constexpr float z_scale = 1.0f / 2.2f;      // max plausible stature
     constexpr float sigma_scale = 1.0f / 0.8f;  // typical height-variation cap
 
-    for (std::size_t j = 0; j < points.size(); ++j) {
-        const float x = static_cast<float>(std::clamp(points[j].x - anchor.x, -config.xy_clamp,
-                                                      config.xy_clamp)) *
-                        xy_scale;
-        const float y = static_cast<float>(std::clamp(points[j].y - anchor.y, -config.xy_clamp,
-                                                      config.xy_clamp)) *
-                        xy_scale;
-        const float z = static_cast<float>(points[j].z - config.ground_z) * z_scale;
-        const std::size_t row = j / d;
-        const std::size_t col = j % d;
+    // Row-major reshape: the j-th point in anchor order is pixel j.
+    float* pixel = out.data();
+    for (std::size_t j = 0; j < order.size(); ++j, pixel += channels) {
+        const vec3& p = cloud[order[j].index];
+        const float x =
+            static_cast<float>(std::clamp(p.x - anchor.x, -config.xy_clamp, config.xy_clamp)) *
+            xy_scale;
+        const float y =
+            static_cast<float>(std::clamp(p.y - anchor.y, -config.xy_clamp, config.xy_clamp)) *
+            xy_scale;
+        const float z = static_cast<float>(p.z - config.ground_z) * z_scale;
         std::size_t c = 0;
         // Top view (xy plane), height-augmented for HAP.
-        out.at(0, row, col, c++) = x;
-        out.at(0, row, col, c++) = y;
+        pixel[c++] = x;
+        pixel[c++] = y;
         if (with_height_channel) {
-            out.at(0, row, col, c++) = static_cast<float>(sigma[j]) * sigma_scale;
+            const double sigma =
+                sigma_in.empty() ? fallback_sigma[j] : sigma_in[order[j].index];
+            pixel[c++] = static_cast<float>(sigma) * sigma_scale;
         }
         // Front view (yz plane).
-        out.at(0, row, col, c++) = y;
-        out.at(0, row, col, c++) = z;
+        pixel[c++] = y;
+        pixel[c++] = z;
         // Side view (xz plane).
-        out.at(0, row, col, c++) = x;
-        out.at(0, row, col, c++) = z;
+        pixel[c++] = x;
+        pixel[c++] = z;
     }
     return out;
 }

@@ -123,17 +123,20 @@ private:
 
 kd_tree::kd_tree(const point_cloud& cloud) {
     const auto n = static_cast<std::int32_t>(cloud.size());
-    points_.reserve(cloud.size());
-    for (const auto& p : cloud) points_.push_back(p);
     order_.resize(cloud.size());
     std::iota(order_.begin(), order_.end(), 0);
     if (n > 0) {
         nodes_.reserve(static_cast<std::size_t>(2 * n / leaf_size + 4));
-        root_ = build(0, n, 0);
+        root_ = build(cloud, 0, n, 0);
     }
+    // Store the points in tree order: every leaf is then one contiguous
+    // run of points_, and order_ is only consulted for reported indices.
+    points_.reserve(cloud.size());
+    for (const auto i : order_) points_.push_back(cloud[static_cast<std::size_t>(i)]);
 }
 
-std::int32_t kd_tree::build(std::int32_t begin, std::int32_t end, int depth) {
+std::int32_t kd_tree::build(const point_cloud& cloud, std::int32_t begin, std::int32_t end,
+                            int depth) {
     node nd;
     if (end - begin <= leaf_size) {
         nd.leaf = true;
@@ -145,10 +148,10 @@ std::int32_t kd_tree::build(std::int32_t begin, std::int32_t end, int depth) {
 
     // Pick the widest-spread axis for better balance on anisotropic data
     // (LiDAR walkway scenes are much longer in x than tall in z).
-    vec3 lo = points_[static_cast<std::size_t>(order_[begin])];
+    vec3 lo = cloud[static_cast<std::size_t>(order_[begin])];
     vec3 hi = lo;
     for (std::int32_t i = begin + 1; i < end; ++i) {
-        const auto& p = points_[static_cast<std::size_t>(order_[i])];
+        const auto& p = cloud[static_cast<std::size_t>(order_[i])];
         lo.x = std::min(lo.x, p.x);
         lo.y = std::min(lo.y, p.y);
         lo.z = std::min(lo.z, p.z);
@@ -164,51 +167,59 @@ std::int32_t kd_tree::build(std::int32_t begin, std::int32_t end, int depth) {
     const std::int32_t mid = begin + (end - begin) / 2;
     std::nth_element(order_.begin() + begin, order_.begin() + mid, order_.begin() + end,
                      [&](std::int32_t a, std::int32_t b) {
-                         return axis_value(points_[static_cast<std::size_t>(a)], axis) <
-                                axis_value(points_[static_cast<std::size_t>(b)], axis);
+                         return axis_value(cloud[static_cast<std::size_t>(a)], axis) <
+                                axis_value(cloud[static_cast<std::size_t>(b)], axis);
                      });
 
     nd.axis = axis;
-    nd.split = axis_value(points_[static_cast<std::size_t>(order_[mid])], axis);
+    nd.split = axis_value(cloud[static_cast<std::size_t>(order_[mid])], axis);
     nodes_.push_back(nd);
     const auto index = static_cast<std::int32_t>(nodes_.size() - 1);
-    const auto left = build(begin, mid, depth + 1);
-    const auto right = build(mid, end, depth + 1);
+    const auto left = build(cloud, begin, mid, depth + 1);
+    const auto right = build(cloud, mid, end, depth + 1);
     nodes_[static_cast<std::size_t>(index)].left = left;
     nodes_[static_cast<std::size_t>(index)].right = right;
     return index;
 }
 
 template <typename Heap>
-void kd_tree::nearest_with_heap(const vec3& query, std::size_t /*k*/, Heap& heap) const {
+void kd_tree::nearest_with_heap(const vec3& query, Heap& heap) const {
     // Iterative depth-first traversal with pruning against the current
     // k-th best distance. The exact-median build halves each range, so
     // the tree height (and with it the pending-node stack) is bounded by
     // log2(2^31 / leaf_size) + 1 < 32 — a fixed array is enough and the
     // traversal never touches the allocator.
-    std::array<std::int32_t, 64> stack;
+    struct pending {
+        std::int32_t node;
+        double bound_sq;  // lower bound on d^2 from the query to any point under the node
+    };
+    std::array<pending, 64> stack;
     std::size_t depth = 0;
-    stack[depth++] = root_;
+    stack[depth++] = {root_, 0.0};
     while (depth > 0) {
-        const auto ni = stack[--depth];
-        if (ni < 0) continue;
+        const auto [ni, bound_sq] = stack[--depth];
+        // Prune on pop as well as on push: a far child pushed while the
+        // heap was filling may lie wholly beyond the k-th best found since.
+        // Exact — every point in it has d^2 >= bound_sq > worst, and
+        // consider() only admits d^2 < worst (DESIGN.md §6).
+        if (ni < 0 || (heap.full() && bound_sq > heap.worst())) continue;
         const node& nd = nodes_[static_cast<std::size_t>(ni)];
         if (nd.leaf) {
             for (std::int32_t i = nd.begin; i < nd.end; ++i) {
-                const auto cloud_index = order_[static_cast<std::size_t>(i)];
-                const double d_sq =
-                    points_[static_cast<std::size_t>(cloud_index)].distance_sq_to(query);
-                heap.consider(static_cast<std::size_t>(cloud_index), d_sq);
+                const auto slot = static_cast<std::size_t>(i);
+                heap.consider(static_cast<std::size_t>(order_[slot]),
+                              points_[slot].distance_sq_to(query));
             }
             continue;
         }
         const double delta = axis_value(query, nd.axis) - nd.split;
+        const double delta_sq = delta * delta;
         const auto near_child = delta <= 0.0 ? nd.left : nd.right;
         const auto far_child = delta <= 0.0 ? nd.right : nd.left;
         // Visit far side only if the splitting plane is closer than the
         // current worst retained distance (or we have fewer than k yet).
-        if (!heap.full() || delta * delta <= heap.worst()) stack[depth++] = far_child;
-        stack[depth++] = near_child;
+        if (!heap.full() || delta_sq <= heap.worst()) stack[depth++] = {far_child, delta_sq};
+        stack[depth++] = {near_child, bound_sq};
     }
 }
 
@@ -219,11 +230,11 @@ void kd_tree::nearest_into(const vec3& query, std::size_t k, std::vector<neighbo
 
     if (k <= inline_k_heap::capacity) {
         inline_k_heap heap{k};
-        nearest_with_heap(query, k, heap);
+        nearest_with_heap(query, heap);
         heap.extract_sorted(out);
     } else {
         vector_k_heap heap{k, out};
-        nearest_with_heap(query, k, heap);
+        nearest_with_heap(query, heap);
         heap.extract_sorted(out);
     }
     for (auto& nb : out) nb.distance = std::sqrt(nb.distance);
@@ -242,9 +253,9 @@ void kd_tree::visit_radius(std::int32_t node_index, const vec3& query, double ra
     const node& nd = nodes_[static_cast<std::size_t>(node_index)];
     if (nd.leaf) {
         for (std::int32_t i = nd.begin; i < nd.end; ++i) {
-            const auto cloud_index = order_[static_cast<std::size_t>(i)];
-            if (points_[static_cast<std::size_t>(cloud_index)].distance_sq_to(query) <= radius_sq) {
-                visit(static_cast<std::size_t>(cloud_index));
+            const auto slot = static_cast<std::size_t>(i);
+            if (points_[slot].distance_sq_to(query) <= radius_sq) {
+                visit(static_cast<std::size_t>(order_[slot]));
             }
         }
         return;

@@ -2,7 +2,8 @@
 
 // Static KD-tree over a point cloud. Supports the two queries the paper's
 // pipeline needs: k-nearest-neighbour search (adaptive-eps selection and
-// height-aware projection) and fixed-radius search (DBSCAN region queries).
+// the HAP height-variation sigma pass) and fixed-radius search (DBSCAN
+// region queries).
 //
 // The *_into overloads write into caller-owned buffers and perform no
 // heap allocation per query (beyond growing the caller's buffer towards
@@ -26,9 +27,9 @@ struct neighbor {
     double distance = 0.0;
 };
 
-/// Balanced KD-tree built once over an immutable cloud. The tree stores
-/// indices into the cloud passed at construction; the caller must keep
-/// that cloud alive and unmodified for the tree's lifetime.
+/// Balanced KD-tree built once over an immutable cloud. The tree keeps
+/// one copy of the points, stored in leaf order, and reports indices into
+/// the cloud passed at construction.
 class kd_tree {
 public:
     explicit kd_tree(const point_cloud& cloud);
@@ -63,25 +64,26 @@ private:
     struct node {
         std::int32_t left = -1;
         std::int32_t right = -1;
-        std::int32_t begin = 0;   // leaf: range into order_
+        std::int32_t begin = 0;   // leaf: range into points_ and order_
         std::int32_t end = 0;
         std::uint8_t axis = 0;
         double split = 0.0;
         bool leaf = false;
     };
 
-    std::int32_t build(std::int32_t begin, std::int32_t end, int depth);
+    std::int32_t build(const point_cloud& cloud, std::int32_t begin, std::int32_t end,
+                       int depth);
 
     template <typename Visitor>
     void visit_radius(std::int32_t node_index, const vec3& query, double radius_sq,
                       Visitor&& visit) const;
 
     template <typename Heap>
-    void nearest_with_heap(const vec3& query, std::size_t k, Heap& heap) const;
+    void nearest_with_heap(const vec3& query, Heap& heap) const;
 
     static constexpr std::int32_t leaf_size = 16;
 
-    std::vector<vec3> points_;        // copy for cache-friendly traversal
+    std::vector<vec3> points_;        // the cloud in tree order: leaves are contiguous runs
     std::vector<std::int32_t> order_; // permutation: tree position -> cloud index
     std::vector<node> nodes_;
     std::int32_t root_ = -1;

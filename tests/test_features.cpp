@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -429,6 +432,124 @@ TEST(pipeline, three_view_shape) {
     EXPECT_EQ(extractor.sample_shape(), (std::vector<std::size_t>{10, 10, 6}));
     const tensor out = extractor.extract(synthetic_person_cluster(r, {20.0, 0.0, -3.0}, 30), r);
     EXPECT_EQ(out.dim(3), 6u);
+}
+
+// Reference HAP/TV projection: the anchor-order sort recomputes both radii
+// with std::hypot on every comparison. project_cluster must reproduce its
+// output bit for bit, including the permutation std::sort picks among
+// points whose (radius, z) keys are equal.
+tensor reference_view_projection(const point_cloud& cloud, const vec3& anchor,
+                                 const projection_config& config, bool with_height_channel,
+                                 std::span<const double> sigma_in) {
+    const auto d = static_cast<std::size_t>(
+        std::lround(std::sqrt(static_cast<double>(config.target_points))));
+    std::vector<std::size_t> order(cloud.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        const double ra = std::hypot(cloud[a].x - anchor.x, cloud[a].y - anchor.y);
+        const double rb = std::hypot(cloud[b].x - anchor.x, cloud[b].y - anchor.y);
+        if (ra != rb) return ra < rb;
+        return cloud[a].z < cloud[b].z;
+    });
+    point_cloud points;
+    for (auto i : order) points.push_back(cloud[i]);
+    std::vector<double> sigma;
+    if (sigma_in.empty()) {
+        sigma = height_variation(points, config.knn_k);
+    } else {
+        for (auto i : order) sigma.push_back(sigma_in[i]);
+    }
+    const std::size_t channels = with_height_channel ? 7 : 6;
+    tensor out{{1, d, d, channels}};
+    const auto xy_scale = static_cast<float>(1.0 / config.xy_clamp);
+    constexpr float z_scale = 1.0f / 2.2f;
+    constexpr float sigma_scale = 1.0f / 0.8f;
+    for (std::size_t j = 0; j < points.size(); ++j) {
+        const float x = static_cast<float>(std::clamp(points[j].x - anchor.x, -config.xy_clamp,
+                                                      config.xy_clamp)) *
+                        xy_scale;
+        const float y = static_cast<float>(std::clamp(points[j].y - anchor.y, -config.xy_clamp,
+                                                      config.xy_clamp)) *
+                        xy_scale;
+        const float z = static_cast<float>(points[j].z - config.ground_z) * z_scale;
+        std::size_t c = 0;
+        out.at(0, j / d, j % d, c++) = x;
+        out.at(0, j / d, j % d, c++) = y;
+        if (with_height_channel) {
+            out.at(0, j / d, j % d, c++) = static_cast<float>(sigma[j]) * sigma_scale;
+        }
+        out.at(0, j / d, j % d, c++) = y;
+        out.at(0, j / d, j % d, c++) = z;
+        out.at(0, j / d, j % d, c++) = x;
+        out.at(0, j / d, j % d, c++) = z;
+    }
+    return out;
+}
+
+void expect_same_bits(const tensor& got, const tensor& want, const char* what) {
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        if (std::bit_cast<std::uint32_t>(got[i]) != std::bit_cast<std::uint32_t>(want[i])) {
+            ++mismatches;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << what;
+}
+
+// 324 points (18 x 18) built for exact (radius, z) ties around a dyadic
+// anchor: mirror pairs through the anchor at equal and at different
+// heights, points swapped across the diagonal, a clump of duplicate
+// padding points, and random structure for the untied comparisons.
+point_cloud tied_view_cloud(rng& r, const vec3& anchor) {
+    point_cloud cloud;
+    for (int i = 0; i < 60; ++i) {
+        const double dx = static_cast<double>(static_cast<int>(r.uniform_index(17)) - 8) / 16.0;
+        const double dy = static_cast<double>(static_cast<int>(r.uniform_index(17)) - 8) / 16.0;
+        const double z = anchor.z + static_cast<double>(r.uniform_index(8)) / 4.0;
+        const double z_other = i % 2 == 0 ? z : z + 0.25;
+        cloud.push_back({anchor.x + dx, anchor.y + dy, z});
+        cloud.push_back({anchor.x - dx, anchor.y - dy, z_other});
+        cloud.push_back({anchor.x + dy, anchor.y + dx, z});
+    }
+    for (int i = 0; i < 40; ++i) cloud.push_back({anchor.x + 4.0, anchor.y - 2.0, -2.5});
+    while (cloud.size() < 324) {
+        cloud.push_back(anchor + vec3{r.normal(0.0, 0.2), r.normal(0.0, 0.2), r.uniform(0.1, 1.7)});
+    }
+    // Interleave so tied points do not arrive adjacent.
+    for (std::size_t i = cloud.size() - 1; i > 0; --i) {
+        std::swap(cloud[i], cloud[static_cast<std::size_t>(r.uniform_index(i + 1))]);
+    }
+    return cloud;
+}
+
+TEST(projection, view_order_matches_hypot_reference_bit_exact) {
+    rng r{46};
+    for (int trial = 0; trial < 6; ++trial) {
+        const vec3 anchor{20.0 + trial, -0.5, -3.0 + 0.5 * trial};
+        const point_cloud cloud = tied_view_cloud(r, anchor);
+        std::vector<std::pair<double, double>> keys;
+        for (const auto& p : cloud) {
+            keys.emplace_back(std::hypot(p.x - anchor.x, p.y - anchor.y), p.z);
+        }
+        std::sort(keys.begin(), keys.end());
+        ASSERT_NE(std::adjacent_find(keys.begin(), keys.end()), keys.end());  // ties exist
+        std::vector<double> sigma(cloud.size());
+        for (auto& s : sigma) s = static_cast<double>(r.uniform_index(4)) * 0.125;
+        for (const auto method : {projection_method::hap, projection_method::three_view}) {
+            projection_config cfg;
+            cfg.method = method;
+            cfg.target_points = 324;
+            const bool hap = method == projection_method::hap;
+            expect_same_bits(project_cluster(cloud, anchor, cfg, sigma),
+                             reference_view_projection(cloud, anchor, cfg, hap, sigma),
+                             to_string(method));
+            // Empty sigma: the height channel comes from the sorted cloud.
+            expect_same_bits(project_cluster(cloud, anchor, cfg),
+                             reference_view_projection(cloud, anchor, cfg, hap, {}),
+                             to_string(method));
+        }
+    }
 }
 
 }  // namespace

@@ -126,17 +126,54 @@ TEST(cloud_io, missing_file_throws) {
 
 // --- KD-tree, validated against brute force ---
 
-std::vector<neighbor> brute_force_nearest(const point_cloud& cloud, const vec3& q,
-                                          std::size_t k) {
+// Every point of `cloud` with its distance to `q`, computed with the same
+// squared-distance arithmetic the tree uses and sorted by (distance,
+// index) — the order nearest() reports.
+std::vector<neighbor> brute_force_ranked(const point_cloud& cloud, const vec3& q) {
     std::vector<neighbor> all;
     for (std::size_t i = 0; i < cloud.size(); ++i) {
-        all.push_back({i, cloud[i].distance_to(q)});
+        all.push_back({i, std::sqrt(cloud[i].distance_sq_to(q))});
     }
-    std::sort(all.begin(), all.end(),
-              [](const neighbor& a, const neighbor& b) { return a.distance < b.distance; });
-    all.resize(std::min(k, all.size()));
+    std::sort(all.begin(), all.end(), [](const neighbor& a, const neighbor& b) {
+        if (a.distance != b.distance) return a.distance < b.distance;
+        return a.index < b.index;
+    });
     return all;
 }
+
+// nearest(q, k) must equal brute force bit for bit. Distances always
+// match exactly; indices match wherever they are determined, i.e.
+// everywhere unless the k-th distance is tied with the (k+1)-th, in which
+// case the tree may keep any of the equally distant points at that rank.
+void expect_exact_nearest(const kd_tree& tree, const point_cloud& cloud, const vec3& q,
+                          std::size_t k) {
+    const auto all = brute_force_ranked(cloud, q);
+    const auto got = tree.nearest(q, k);
+    const std::size_t m = std::min(k, all.size());
+    ASSERT_EQ(got.size(), m) << "k=" << k;
+    const double kth = all[m - 1].distance;
+    const bool kth_tied = m < all.size() && all[m].distance == kth;
+    std::vector<std::size_t> seen;
+    for (std::size_t i = 0; i < m; ++i) {
+        EXPECT_EQ(got[i].distance, all[i].distance) << "k=" << k << " rank " << i;
+        ASSERT_LT(got[i].index, cloud.size());
+        EXPECT_EQ(std::sqrt(cloud[got[i].index].distance_sq_to(q)), got[i].distance)
+            << "k=" << k << " rank " << i;
+        if (!kth_tied || all[i].distance < kth) {
+            EXPECT_EQ(got[i].index, all[i].index) << "k=" << k << " rank " << i;
+        }
+        if (i > 0 && got[i].distance == got[i - 1].distance) {
+            EXPECT_LT(got[i - 1].index, got[i].index) << "k=" << k << " rank " << i;
+        }
+        seen.push_back(got[i].index);
+    }
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end()) << "k=" << k;
+}
+
+// Both heap paths: k <= 16 runs on the inline heap, k > 16 on the
+// caller's vector.
+constexpr std::size_t knn_ks[] = {1, 9, 16, 17, 48};
 
 class kd_tree_random_test : public ::testing::TestWithParam<std::size_t> {};
 
@@ -146,13 +183,40 @@ TEST_P(kd_tree_random_test, nearest_matches_brute_force) {
     const kd_tree tree{cloud};
     for (int trial = 0; trial < 20; ++trial) {
         const vec3 q{r.uniform(-12.0, 12.0), r.uniform(-12.0, 12.0), r.uniform(-12.0, 12.0)};
-        const std::size_t k = 1 + r.uniform_index(8);
-        const auto got = tree.nearest(q, k);
-        const auto want = brute_force_nearest(cloud, q, k);
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-            EXPECT_NEAR(got[i].distance, want[i].distance, 1e-9);
+        for (const std::size_t k : knn_ks) expect_exact_nearest(tree, cloud, q, k);
+    }
+    // Self queries: the query is a member of the cloud.
+    for (std::size_t i = 0; i < cloud.size(); i += 23) {
+        for (const std::size_t k : knn_ks) expect_exact_nearest(tree, cloud, cloud[i], k);
+    }
+}
+
+TEST_P(kd_tree_random_test, nearest_exact_on_duplicate_clumps) {
+    // Clumps of identical points (stuck sensor returns) on a lattice, so
+    // exact distance ties occur inside a clump, between mirrored clumps
+    // and across leaf boundaries; plus a few scattered points.
+    rng r{GetParam() + 500};
+    point_cloud cloud;
+    for (int clump = 0; clump < 12; ++clump) {
+        const vec3 c{static_cast<double>(r.uniform_index(5)) - 2.0,
+                     static_cast<double>(r.uniform_index(5)) - 2.0,
+                     static_cast<double>(r.uniform_index(3)) - 1.0};
+        const std::size_t copies = 1 + r.uniform_index(30);
+        for (std::size_t i = 0; i < copies; ++i) {
+            cloud.push_back(c);
+            cloud.push_back({-c.x, -c.y, c.z});  // mirror: same distance to the origin
         }
+    }
+    for (int i = 0; i < 40; ++i) cloud.push_back({r.uniform(-3.0, 3.0), r.uniform(-3.0, 3.0), 0.0});
+    const kd_tree tree{cloud};
+
+    std::vector<vec3> queries{{0.0, 0.0, 0.0}, {0.5, 0.5, 0.0}, {1.0, 0.0, 0.5}};
+    for (std::size_t i = 0; i < cloud.size(); i += 17) queries.push_back(cloud[i]);
+    for (int i = 0; i < 10; ++i) {
+        queries.push_back({r.uniform(-3.0, 3.0), r.uniform(-3.0, 3.0), r.uniform(-1.5, 1.5)});
+    }
+    for (const auto& q : queries) {
+        for (const std::size_t k : knn_ks) expect_exact_nearest(tree, cloud, q, k);
     }
 }
 
