@@ -1,5 +1,6 @@
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace hawc::bench {
@@ -87,5 +88,24 @@ void print_header(const std::string& table_name, const std::string& description)
 }
 
 void print_paper_note(const std::string& note) { std::cout << "paper: " << note << "\n"; }
+
+std::size_t balanced_order(std::size_t n, std::size_t step, std::size_t slot) {
+    // Row r of a Williams square is r + (0, 1, n-1, 2, n-2, ...) mod n;
+    // odd n also needs every row reversed to balance the predecessors.
+    const std::size_t rows = n % 2 == 0 ? n : 2 * n;
+    std::size_t row = step % rows;
+    if (row >= n) {
+        row -= n;
+        slot = n - 1 - slot;
+    }
+    const std::size_t offset = slot == 0 ? 0 : slot % 2 == 1 ? (slot + 1) / 2 : n - slot / 2;
+    return (row + offset) % n;
+}
+
+timing_summary summarize(const std::vector<double>& samples) {
+    return {.median = percentile(samples, 50.0),
+            .iqr = percentile(samples, 75.0) - percentile(samples, 25.0),
+            .min = *std::min_element(samples.begin(), samples.end())};
+}
 
 }  // namespace hawc::bench

@@ -2,15 +2,16 @@
 // the end-to-end single-frame count at several pool sizes, the fleet
 // occupancy read path, the observability event pipeline, and the
 // corpus-container codec/pack/stream-decode path, and emits one JSON
-// document (BENCH_PR9.json via scripts/bench_snapshot.sh). The
-// "baseline" block is the pre-engine measurement captured with the same
-// methodology on the same container class, so current/baseline ratios
-// are like-for-like. scripts/perf_gate.sh checks the threads_1 block
+// document (BENCH_PR9.json via scripts/bench_snapshot.sh). Each metric is
+// a one-configuration run of the shared timing core (bench_common.hpp):
+// the median over `rounds` rounds, with the interquartile range beside it
+// as `<metric>_iqr`. scripts/perf_gate.sh checks the threads_1 block
 // against the ceilings — and the corpus_container block against the
 // floors — in bench/perf_floor.json.
 //
 // Usage: bench_snapshot [thread_count...]   (default: 1 4)
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "classifiers/hawc_model.hpp"
 #include "clustering/adaptive_eps.hpp"
 #include "clustering/dbscan.hpp"
@@ -41,25 +43,44 @@ using namespace hawc;
 
 namespace {
 
-// Pre-engine numbers (sequential kernels, allocating KD queries, naive
-// conv2d) from the seed revision, measured by this same harness.
-struct metrics {
-    double kd_nearest_k9_us = 0.0;
-    double kd_radius_us = 0.0;
-    double dbscan_8k_ms = 0.0;
-    double height_variation_8k_ms = 0.0;
-    double adaptive_eps_8k_ms = 0.0;
-    double conv2d_us = 0.0;
-    double qconv_us = 0.0;
-    double qdense_us = 0.0;
-    double e2e_count_8k_ms = 0.0;
-};
+// Timed rounds per metric (after one warm-up round).
+constexpr std::size_t rounds = 11;
 
-// qdense was added to the harness in PR 4; its baseline is the serial
-// run_dense measured just before that PR parallelized it (the other
-// numbers are the seed revision's).
-constexpr metrics baseline{3.4294, 1.0028, 11.221, 22.669, 16.181, 80.693, 145.371,
-                           138.080, 66.232};
+using bench::timing_summary;
+
+/// Cost per unit of work: each round's `scale` * ms / (items * units).
+timing_summary cost(std::size_t items, double units, double scale,
+                    const bench::timed_config& config) {
+    std::vector<double> ms = bench::time_interleaved({&config, 1}, items, rounds).round_ms[0];
+    for (double& x : ms) x *= scale / (static_cast<double>(items) * units);
+    return bench::summarize(ms);
+}
+
+/// Throughput: each round's items * units per second.
+timing_summary rate(std::size_t items, double units, const bench::timed_config& config) {
+    std::vector<double> ms = bench::time_interleaved({&config, 1}, items, rounds).round_ms[0];
+    for (double& x : ms) x = static_cast<double>(items) * units / (x / 1000.0);
+    return bench::summarize(ms);
+}
+
+/// One `"key": median, "key_iqr": iqr` line.
+void print_metric(const char* indent, const char* key, const timing_summary& s, int decimals,
+                  bool last = false) {
+    std::printf("%s\"%s\": %.*f, \"%s_iqr\": %.*f%s\n", indent, key, decimals, s.median, key,
+                decimals, s.iqr, last ? "" : ",");
+}
+
+struct metrics {
+    timing_summary kd_nearest_k9_us;
+    timing_summary kd_radius_us;
+    timing_summary dbscan_8k_ms;
+    timing_summary height_variation_8k_ms;
+    timing_summary adaptive_eps_8k_ms;
+    timing_summary conv2d_us;
+    timing_summary qconv_us;
+    timing_summary qdense_us;
+    timing_summary e2e_count_8k_ms;
+};
 
 /// Synthetic walkway crowd: upright person blobs inside the default ROI
 /// plus clutter, ~8000 points at the default arguments.
@@ -82,14 +103,6 @@ point_cloud crowd_cloud(std::size_t people, std::size_t points_per_person,
     return cloud;
 }
 
-template <typename Fn>
-double time_ms(std::size_t reps, Fn&& fn) {
-    fn();  // warm-up
-    stopwatch sw;
-    for (std::size_t i = 0; i < reps; ++i) fn();
-    return sw.elapsed_ms() / static_cast<double>(reps);
-}
-
 metrics measure() {
     metrics m;
     const point_cloud cloud = crowd_cloud(100, 64, 42);
@@ -100,7 +113,7 @@ metrics measure() {
     for (int i = 0; i < 512; ++i) queries.push_back(cloud[qr.uniform_index(cloud.size())]);
 
     std::vector<neighbor> neighbors;
-    m.kd_nearest_k9_us = 1000.0 / 512.0 * time_ms(20, [&] {
+    m.kd_nearest_k9_us = cost(2, 512.0, 1000.0, {.run = [&](std::size_t) {
         double acc = 0;
         for (const auto& q : queries) {
             tree.nearest_into(q, 9, neighbors);
@@ -108,10 +121,10 @@ metrics measure() {
         }
         volatile double sink = acc;
         (void)sink;
-    });
+    }});
 
     std::vector<std::size_t> found;
-    m.kd_radius_us = 1000.0 / 512.0 * time_ms(20, [&] {
+    m.kd_radius_us = cost(2, 512.0, 1000.0, {.run = [&](std::size_t) {
         std::size_t acc = 0;
         for (const auto& q : queries) {
             tree.radius_search_into(q, 0.3, found);
@@ -119,24 +132,24 @@ metrics measure() {
         }
         volatile std::size_t sink = acc;
         (void)sink;
-    });
+    }});
 
     dbscan_config db;
     db.eps = 0.3;
-    m.dbscan_8k_ms = time_ms(5, [&] {
+    m.dbscan_8k_ms = cost(1, 1.0, 1.0, {.run = [&](std::size_t) {
         volatile std::size_t sink = dbscan(cloud, db).cluster_count;
         (void)sink;
-    });
+    }});
 
-    m.height_variation_8k_ms = time_ms(5, [&] {
+    m.height_variation_8k_ms = cost(1, 1.0, 1.0, {.run = [&](std::size_t) {
         volatile double sink = height_variation(cloud, 8).back();
         (void)sink;
-    });
+    }});
 
-    m.adaptive_eps_8k_ms = time_ms(5, [&] {
+    m.adaptive_eps_8k_ms = cost(1, 1.0, 1.0, {.run = [&](std::size_t) {
         volatile double sink = adaptive_epsilon(cloud);
         (void)sink;
-    });
+    }});
 
     {
         rng r{4};
@@ -145,10 +158,10 @@ metrics measure() {
         for (std::size_t i = 0; i < input.size(); ++i) {
             input[i] = static_cast<float>(r.normal());
         }
-        m.conv2d_us = 1000.0 * time_ms(200, [&] {
+        m.conv2d_us = cost(20, 1.0, 1000.0, {.run = [&](std::size_t) {
             volatile float sink = conv.forward(input, false)[0];
             (void)sink;
-        });
+        }});
     }
 
     {
@@ -160,10 +173,10 @@ metrics measure() {
             input[i] = static_cast<float>(r.normal());
         }
         quantized_model qm = quantize_model(net, {input});
-        m.qconv_us = 1000.0 * time_ms(200, [&] {
+        m.qconv_us = cost(20, 1.0, 1000.0, {.run = [&](std::size_t) {
             volatile float sink = qm.forward(input)[0];
             (void)sink;
-        });
+        }});
     }
 
     {
@@ -177,10 +190,10 @@ metrics measure() {
             input[i] = static_cast<float>(r.normal());
         }
         quantized_model qm = quantize_model(net, {input.slice_sample(0)});
-        m.qdense_us = 1000.0 * time_ms(500, [&] {
+        m.qdense_us = cost(50, 1.0, 1000.0, {.run = [&](std::size_t) {
             volatile float sink = qm.forward(input)[0];
             (void)sink;
-        });
+        }});
     }
 
     {
@@ -190,33 +203,33 @@ metrics measure() {
         hawc_model model{hawc_config{}, std::move(pool), r};  // untrained: same compute
         const crowd_counter counter{capture_config{}, model};
         rng cr{2};
-        m.e2e_count_8k_ms = time_ms(3, [&] {
+        m.e2e_count_8k_ms = cost(1, 1.0, 1.0, {.run = [&](std::size_t) {
             volatile std::size_t sink = counter.count(cloud, cr).count;
             (void)sink;
-        });
+        }});
     }
     return m;
 }
 
 void print_metrics(const char* indent, const metrics& m) {
-    std::printf("%s\"kd_nearest_k9_us_per_query\": %.4f,\n", indent, m.kd_nearest_k9_us);
-    std::printf("%s\"kd_radius_us_per_query\": %.4f,\n", indent, m.kd_radius_us);
-    std::printf("%s\"dbscan_8k_ms\": %.3f,\n", indent, m.dbscan_8k_ms);
-    std::printf("%s\"height_variation_8k_ms\": %.3f,\n", indent, m.height_variation_8k_ms);
-    std::printf("%s\"adaptive_eps_8k_ms\": %.3f,\n", indent, m.adaptive_eps_8k_ms);
-    std::printf("%s\"conv2d_18x18_7to16_us\": %.3f,\n", indent, m.conv2d_us);
-    std::printf("%s\"qconv_18x18_7to16_us\": %.3f,\n", indent, m.qconv_us);
-    std::printf("%s\"qdense_b8_512to98to2_us\": %.3f,\n", indent, m.qdense_us);
-    std::printf("%s\"e2e_count_8k_ms\": %.3f\n", indent, m.e2e_count_8k_ms);
+    print_metric(indent, "kd_nearest_k9_us_per_query", m.kd_nearest_k9_us, 4);
+    print_metric(indent, "kd_radius_us_per_query", m.kd_radius_us, 4);
+    print_metric(indent, "dbscan_8k_ms", m.dbscan_8k_ms, 3);
+    print_metric(indent, "height_variation_8k_ms", m.height_variation_8k_ms, 3);
+    print_metric(indent, "adaptive_eps_8k_ms", m.adaptive_eps_8k_ms, 3);
+    print_metric(indent, "conv2d_18x18_7to16_us", m.conv2d_us, 3);
+    print_metric(indent, "qconv_18x18_7to16_us", m.qconv_us, 3);
+    print_metric(indent, "qdense_b8_512to98to2_us", m.qdense_us, 3);
+    print_metric(indent, "e2e_count_8k_ms", m.e2e_count_8k_ms, 3, /*last=*/true);
 }
 
 // Fleet occupancy read path: how fast the seqlock board absorbs
 // publishes and serves snapshots, alone and under reader contention.
 struct fleet_metrics {
-    double publish_us = 0.0;
-    double read_us = 0.0;
-    double cached_read_us = 0.0;
-    double contended_reads_per_us = 0.0;
+    timing_summary publish_us;
+    timing_summary read_us;
+    timing_summary cached_read_us;
+    timing_summary contended_reads_per_us;
 };
 
 fleet_metrics measure_fleet(std::size_t poles) {
@@ -234,67 +247,76 @@ fleet_metrics measure_fleet(std::size_t poles) {
     board.publish(snap);
 
     constexpr std::size_t reps = 4096;
-    m.publish_us = 1000.0 / reps * time_ms(10, [&] {
+    m.publish_us = cost(4, reps, 1000.0, {.run = [&](std::size_t) {
         for (std::size_t i = 0; i < reps; ++i) {
             ++snap.tick;
             board.publish(snap);
         }
-    });
-    m.read_us = 1000.0 / reps * time_ms(10, [&] {
+    }});
+    m.read_us = cost(4, reps, 1000.0, {.run = [&](std::size_t) {
         std::uint64_t acc = 0;
         for (std::size_t i = 0; i < reps; ++i) acc += board.read().aggregate;
         volatile std::uint64_t sink = acc;
         (void)sink;
-    });
+    }});
     {
         fleet::occupancy_reader reader{board};
-        m.cached_read_us = 1000.0 / reps * time_ms(10, [&] {
+        m.cached_read_us = cost(4, reps, 1000.0, {.run = [&](std::size_t) {
             std::uint64_t acc = 0;
             for (std::size_t i = 0; i < reps; ++i) acc += reader.snapshot().aggregate;
             volatile std::uint64_t sink = acc;
             (void)sink;
-        });
+        }});
     }
-    {
-        // Three readers hammering the board while the writer republishes:
-        // the service-facing contended read rate.
-        constexpr std::size_t reads_per_thread = 200000;
-        stopwatch sw;
+    // Three readers hammering the board for 10 ms while the writer
+    // republishes: the service-facing contended read rate, in reads per
+    // µs. The window is bounded in time, not in reads: a writer
+    // publishing in a tight loop can starve a seqlock reader for as long
+    // as it runs (indefinitely under ASan), and only the writer stopping
+    // at the deadline lets the last read through.
+    std::vector<double> reads;
+    const bench::timed_config contended{.run = [&](std::size_t) {
+        const deadline until = deadline::after_ms(10.0);
+        std::atomic<std::uint64_t> total{0};
         std::vector<std::thread> readers;
         for (int t = 0; t < 3; ++t) {
-            readers.emplace_back([&board] {
+            readers.emplace_back([&] {
+                std::uint64_t n = 0;
                 std::uint64_t acc = 0;
-                for (std::size_t i = 0; i < reads_per_thread; ++i) {
+                while (!until.expired()) {
                     acc += board.read().aggregate;
+                    ++n;
                 }
+                total += n;
                 volatile std::uint64_t sink = acc;
                 (void)sink;
             });
         }
-        std::atomic<bool> done{false};
         std::thread writer{[&] {
-            while (!done.load(std::memory_order_relaxed)) {
+            while (!until.expired()) {
                 ++snap.tick;
                 board.publish(snap);
             }
         }};
         for (auto& r : readers) r.join();
-        const double elapsed_us = sw.elapsed_ms() * 1000.0;
-        done.store(true);
         writer.join();
-        m.contended_reads_per_us = 3.0 * static_cast<double>(reads_per_thread) / elapsed_us;
-    }
+        reads.push_back(static_cast<double>(total.load()));
+    }};
+    const std::vector<double> ms = bench::time_interleaved({&contended, 1}, 1, rounds).round_ms[0];
+    std::vector<double> per_us(rounds);
+    for (std::size_t r = 0; r < rounds; ++r) per_us[r] = reads[r + 1] / (1000.0 * ms[r]);
+    m.contended_reads_per_us = bench::summarize(per_us);
     return m;
 }
 
 // Observability hot paths: what one event, one recorded frame, and one
 // SLO sweep cost a pole that is otherwise busy counting people.
 struct obs_metrics {
-    double event_publish_us = 0.0;
-    double event_suppressed_us = 0.0;
-    double recorder_record_us = 0.0;
-    double slo_evaluate_us = 0.0;
-    double json_tail_256_us = 0.0;
+    timing_summary event_publish_us;
+    timing_summary event_suppressed_us;
+    timing_summary recorder_record_us;
+    timing_summary slo_evaluate_us;
+    timing_summary json_tail_256_us;
 };
 
 obs_metrics measure_obs() {
@@ -309,22 +331,22 @@ obs_metrics measure_obs() {
 
     {
         obs::event_log accepting{{.capacity = 1024, .tokens_per_tick = 0.0, .burst = 0.0}};
-        m.event_publish_us = 1000.0 / reps * time_ms(10, [&] {
+        m.event_publish_us = cost(4, reps, 1000.0, {.run = [&](std::size_t) {
             for (std::size_t i = 0; i < reps; ++i) accepting.publish(ev);
-        });
-        m.json_tail_256_us = 1000.0 * time_ms(20, [&] {
+        }});
+        m.json_tail_256_us = cost(5, 1.0, 1000.0, {.run = [&](std::size_t) {
             volatile std::size_t sink = obs::to_json_lines(accepting.tail(256)).size();
             (void)sink;
-        });
+        }});
     }
     {
         // One token ever: after the first accept, every publish takes the
         // token-bucket rejection path.
         obs::event_log suppressing{{.capacity = 64, .tokens_per_tick = 0.0, .burst = 1.0}};
         suppressing.publish(ev);
-        m.event_suppressed_us = 1000.0 / reps * time_ms(10, [&] {
+        m.event_suppressed_us = cost(4, reps, 1000.0, {.run = [&](std::size_t) {
             for (std::size_t i = 0; i < reps; ++i) suppressing.publish(ev);
-        });
+        }});
     }
     {
         const point_cloud frame = crowd_cloud(100, 64, 42);
@@ -332,22 +354,17 @@ obs_metrics measure_obs() {
         const supervisor_carry carry;
         frame_report report;
         report.count = 100;
-        constexpr std::size_t frames = 256;
+        // Batches of owned clouds, delivered outside the timer; the
+        // recorder takes each by move, as pole_runtime does.
+        constexpr std::size_t batch = 16;
         std::vector<point_cloud> inbox;
-        auto refill = [&] {
-            inbox.assign(frames, frame);
-        };
-        refill();
-        double best = 1e300;
-        for (int pass = 0; pass < 10; ++pass) {
-            stopwatch sw;
-            for (std::size_t i = 0; i < frames; ++i) {
-                recorder.record(i, 100, std::move(inbox[i]), carry, report);
-            }
-            best = std::min(best, sw.elapsed_ms());
-            refill();
-        }
-        m.recorder_record_us = 1000.0 * best / static_cast<double>(frames);
+        m.recorder_record_us = cost(16, batch, 1000.0, {
+            .prepare = [&](std::size_t) { inbox.assign(batch, frame); },
+            .run = [&](std::size_t item) {
+                for (std::size_t i = 0; i < batch; ++i) {
+                    recorder.record(item * batch + i, 100, std::move(inbox[i]), carry, report);
+                }
+            }});
     }
     {
         telemetry::metrics_registry reg;
@@ -362,13 +379,13 @@ obs_metrics measure_obs() {
                                    "window 8/32 resolve 8\n"
                                    "alert staleness if value(bench_staleness) > 6 for 3\n")};
         std::uint64_t tick = 0;
-        m.slo_evaluate_us = 1000.0 / reps * time_ms(10, [&] {
+        m.slo_evaluate_us = cost(4, reps, 1000.0, {.run = [&](std::size_t) {
             for (std::size_t i = 0; i < reps; ++i) {
                 frames.add(10);
                 dropped.add(i % 50 == 0 ? 1 : 0);
                 engine.evaluate(tick++);
             }
-        });
+        }});
     }
     return m;
 }
@@ -380,13 +397,13 @@ obs_metrics measure_obs() {
 // and redundant text (the JSONL/trace best case postmortem bundles see).
 struct container_metrics {
     double uncompressed_mb = 0.0;
-    double ratio = 1.0;              // uncompressed / stored, cloud corpus
-    double pack_mbps = 0.0;          // uncompressed MB/s through pack_corpus
-    double stream_decode_mbps = 0.0; // uncompressed MB/s through a frame walk
-    double codec_cloud_compress_mbps = 0.0;
-    double codec_cloud_decompress_mbps = 0.0;
-    double codec_text_compress_mbps = 0.0;
-    double codec_text_decompress_mbps = 0.0;
+    double ratio = 1.0;                 // uncompressed / stored, cloud corpus
+    timing_summary pack_mbps;           // uncompressed MB/s through pack_corpus
+    timing_summary stream_decode_mbps;  // uncompressed MB/s through a frame walk
+    timing_summary codec_cloud_compress_mbps;
+    timing_summary codec_cloud_decompress_mbps;
+    timing_summary codec_text_compress_mbps;
+    timing_summary codec_text_decompress_mbps;
     double codec_text_ratio = 1.0;
 };
 
@@ -404,15 +421,14 @@ container_metrics measure_container() {
     }
 
     std::string packed;
-    m.pack_mbps = 0.0;
+    {
+        std::ostringstream out;
+        replay::pack_corpus(out, corpus, {.frames_per_chunk = 8});
+        packed = out.str();
+    }
     {
         std::uint64_t uncompressed = 0;
         std::uint64_t stored = 0;
-        const double pack_ms = time_ms(3, [&] {
-            std::ostringstream out;
-            replay::pack_corpus(out, corpus, {.frames_per_chunk = 8});
-            packed = out.str();
-        });
         std::istringstream in{packed};
         replay::container_reader reader{in};
         for (const replay::chunk_entry& chunk : reader.chunks()) {
@@ -421,8 +437,12 @@ container_metrics measure_container() {
         }
         m.uncompressed_mb = static_cast<double>(uncompressed) / 1.0e6;
         m.ratio = static_cast<double>(uncompressed) / static_cast<double>(stored);
-        m.pack_mbps = m.uncompressed_mb / (pack_ms / 1000.0);
-        const double walk_ms = time_ms(3, [&] {
+        m.pack_mbps = rate(1, m.uncompressed_mb, {.run = [&](std::size_t) {
+            std::ostringstream out;
+            replay::pack_corpus(out, corpus, {.frames_per_chunk = 8});
+            packed = out.str();
+        }});
+        m.stream_decode_mbps = rate(1, m.uncompressed_mb, {.run = [&](std::size_t) {
             std::istringstream walk_in{packed};
             replay::container_reader walker{walk_in};
             std::size_t acc = 0;
@@ -431,23 +451,20 @@ container_metrics measure_container() {
             }
             volatile std::size_t sink = acc;
             (void)sink;
-        });
-        m.stream_decode_mbps = m.uncompressed_mb / (walk_ms / 1000.0);
+        }});
     }
 
-    const auto codec_rate = [](const std::vector<char>& input, double* compress_mbps,
-                               double* decompress_mbps) {
+    const auto codec_rate = [](const std::vector<char>& input, timing_summary* compress_mbps,
+                               timing_summary* decompress_mbps) {
         const double mb = static_cast<double>(input.size()) / 1.0e6;
         std::vector<char> out;
-        const double c_ms = time_ms(5, [&] {
+        *compress_mbps = rate(1, mb, {.run = [&](std::size_t) {
             replay::lz_compress_into(input.data(), input.size(), out);
-        });
-        *compress_mbps = mb / (c_ms / 1000.0);
+        }});
         std::vector<char> round(input.size());
-        const double d_ms = time_ms(5, [&] {
+        *decompress_mbps = rate(1, mb, {.run = [&](std::size_t) {
             replay::lz_decompress_into(out.data(), out.size(), round.data(), round.size());
-        });
-        *decompress_mbps = mb / (d_ms / 1000.0);
+        }});
         return static_cast<double>(input.size()) / static_cast<double>(out.size());
     };
 
@@ -494,10 +511,9 @@ int main(int argc, char** argv) {
     std::printf("  \"kernel_isa\": \"%s\",\n", kernels::active_kernels().name);
     std::printf("  \"note\": \"thread-count sweeps above hardware_concurrency time-share "
                 "cores and cannot show wall-clock parallel speedup\",\n");
-    std::printf("  \"baseline_seed_sequential\": {\n");
-    print_metrics("    ", baseline);
-    std::printf("  },\n");
-
+    std::printf("  \"timing\": \"median over %zu rounds of the shared timing core; "
+                "<metric>_iqr is the interquartile range\",\n",
+                rounds);
     std::printf("  \"current\": {\n");
     for (std::size_t t = 0; t < thread_counts.size(); ++t) {
         set_global_thread_count(thread_counts[t]);
@@ -510,51 +526,32 @@ int main(int argc, char** argv) {
 
     const fleet_metrics fm = measure_fleet(16);
     std::printf("  \"fleet_occupancy_16_poles\": {\n");
-    std::printf("    \"publish_us\": %.4f,\n", fm.publish_us);
-    std::printf("    \"read_us\": %.4f,\n", fm.read_us);
-    std::printf("    \"cached_read_us\": %.4f,\n", fm.cached_read_us);
-    std::printf("    \"contended_reads_per_us_3_readers\": %.2f\n",
-                fm.contended_reads_per_us);
+    print_metric("    ", "publish_us", fm.publish_us, 4);
+    print_metric("    ", "read_us", fm.read_us, 4);
+    print_metric("    ", "cached_read_us", fm.cached_read_us, 4);
+    print_metric("    ", "contended_reads_per_us_3_readers", fm.contended_reads_per_us, 2, true);
     std::printf("  },\n");
 
     const obs_metrics om = measure_obs();
     std::printf("  \"obs_event_pipeline\": {\n");
-    std::printf("    \"event_publish_us\": %.4f,\n", om.event_publish_us);
-    std::printf("    \"event_suppressed_us\": %.4f,\n", om.event_suppressed_us);
-    std::printf("    \"recorder_record_us\": %.4f,\n", om.recorder_record_us);
-    std::printf("    \"slo_evaluate_2_rules_us\": %.4f,\n", om.slo_evaluate_us);
-    std::printf("    \"events_to_jsonl_tail256_us\": %.2f\n", om.json_tail_256_us);
+    print_metric("    ", "event_publish_us", om.event_publish_us, 4);
+    print_metric("    ", "event_suppressed_us", om.event_suppressed_us, 4);
+    print_metric("    ", "recorder_record_us", om.recorder_record_us, 4);
+    print_metric("    ", "slo_evaluate_2_rules_us", om.slo_evaluate_us, 4);
+    print_metric("    ", "events_to_jsonl_tail256_us", om.json_tail_256_us, 2, true);
     std::printf("  },\n");
 
     const container_metrics cm = measure_container();
     std::printf("  \"corpus_container\": {\n");
     std::printf("    \"uncompressed_mb\": %.2f,\n", cm.uncompressed_mb);
     std::printf("    \"cloud_corpus_ratio\": %.3f,\n", cm.ratio);
-    std::printf("    \"pack_mbps\": %.1f,\n", cm.pack_mbps);
-    std::printf("    \"stream_decode_mbps\": %.1f,\n", cm.stream_decode_mbps);
-    std::printf("    \"codec_cloud_compress_mbps\": %.1f,\n", cm.codec_cloud_compress_mbps);
-    std::printf("    \"codec_cloud_decompress_mbps\": %.1f,\n",
-                cm.codec_cloud_decompress_mbps);
-    std::printf("    \"codec_text_compress_mbps\": %.1f,\n", cm.codec_text_compress_mbps);
-    std::printf("    \"codec_text_decompress_mbps\": %.1f,\n",
-                cm.codec_text_decompress_mbps);
+    print_metric("    ", "pack_mbps", cm.pack_mbps, 1);
+    print_metric("    ", "stream_decode_mbps", cm.stream_decode_mbps, 1);
+    print_metric("    ", "codec_cloud_compress_mbps", cm.codec_cloud_compress_mbps, 1);
+    print_metric("    ", "codec_cloud_decompress_mbps", cm.codec_cloud_decompress_mbps, 1);
+    print_metric("    ", "codec_text_compress_mbps", cm.codec_text_compress_mbps, 1);
+    print_metric("    ", "codec_text_decompress_mbps", cm.codec_text_decompress_mbps, 1);
     std::printf("    \"codec_text_ratio\": %.1f\n", cm.codec_text_ratio);
-    std::printf("  },\n");
-
-    set_global_thread_count(thread_counts.front());
-    const metrics single = measure();
-    std::printf("  \"speedup_vs_baseline_at_threads_%zu\": {\n", thread_counts.front());
-    std::printf("    \"kd_nearest_k9\": %.2f,\n", baseline.kd_nearest_k9_us / single.kd_nearest_k9_us);
-    std::printf("    \"kd_radius\": %.2f,\n", baseline.kd_radius_us / single.kd_radius_us);
-    std::printf("    \"dbscan_8k\": %.2f,\n", baseline.dbscan_8k_ms / single.dbscan_8k_ms);
-    std::printf("    \"height_variation_8k\": %.2f,\n",
-                baseline.height_variation_8k_ms / single.height_variation_8k_ms);
-    std::printf("    \"adaptive_eps_8k\": %.2f,\n",
-                baseline.adaptive_eps_8k_ms / single.adaptive_eps_8k_ms);
-    std::printf("    \"conv2d\": %.2f,\n", baseline.conv2d_us / single.conv2d_us);
-    std::printf("    \"qconv\": %.2f,\n", baseline.qconv_us / single.qconv_us);
-    std::printf("    \"qdense\": %.2f,\n", baseline.qdense_us / single.qdense_us);
-    std::printf("    \"e2e_count_8k\": %.2f\n", baseline.e2e_count_8k_ms / single.e2e_count_8k_ms);
     std::printf("  }\n");
     std::printf("}\n");
     return 0;
