@@ -20,12 +20,15 @@
 // process exits nonzero when a gate or a sanity check fails.
 
 #include <cstdint>
+#include <filesystem>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "classifiers/quantized_classifier.hpp"
 #include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/slo.hpp"
+#include "replay/model_io.hpp"
 #include "runtime/supervisor.hpp"
 #include "sim/trajectory.hpp"
 #include "telemetry/event.hpp"
@@ -35,9 +38,9 @@ using namespace hawc;
 
 namespace {
 
-// Timed rounds (~15 s on a 4-core host). There the obs stack reads +0.0
-// .. +1.1% against its 2% budget; 41 rounds keep each gate's median
-// within about a point from run to run, so that thin headroom holds.
+// Timed rounds (~12 s on a 4-core host). There the obs stack reads -3.6
+// .. +1.6% against its 2% budget; 41 rounds keep each gate's median
+// within a few points from run to run.
 constexpr std::size_t rounds = 41;
 
 enum layer_set : std::size_t { bare, supervised, traced, observed, layer_count };
@@ -60,29 +63,34 @@ int main() {
                         "bare crowd_counter vs frame_supervisor vs +trace vs +obs on clean "
                         "frames");
 
-    // An untrained fp32 HAWC keeps the classification stage realistic
-    // (full feature extraction + forward pass) without minutes of
-    // training; every layer set shares the same instance.
-    single_person_dataset_config ds_cfg;
-    ds_cfg.human_samples = 40;
-    ds_cfg.object_samples = 40;
-    ds_cfg.capture.min_cluster_points = 20;
-    const single_person_dataset ds = build_single_person_dataset(ds_cfg);
-
-    rng random{7};
+    // The golden deployment (data/golden), as parity_checker and polebench
+    // load it: the int8 HAWC as primary with its fp32 model as the
+    // supervisor's fallback. A trained model counts people on these
+    // frames, so the count checks below compare real counts.
+    const std::filesystem::path golden{HAWC_GOLDEN_DIR};
+    rng skeleton{11};  // throw-away initial weights, overwritten by the load
     hawc_config model_cfg;
-    model_cfg.features.upsample.target_points = ds.target_points;
-    model_cfg.features.projection.target_points = ds.target_points;
-    const hawc_model model{model_cfg, ds.pool, random};
+    model_cfg.features.upsample.target_points = 225;
+    model_cfg.features.projection.target_points = 225;
+    model_cfg.conv_channels[0] = 8;
+    model_cfg.conv_channels[1] = 12;
+    model_cfg.conv_channels[2] = 16;
+    model_cfg.hidden_units = 32;
+    hawc_model fp32{model_cfg, replay::load_object_pool_file(golden / "object.pool"), skeleton};
+    replay::load_weights_file(golden / "hawc_fp32.weights", fp32.network());
+    const quantized_classifier int8{
+        replay::load_quantized_file(golden / "hawc_int8.qmodel"),
+        [&fp32](const point_cloud& c, rng& r) { return fp32.extractor().extract(c, r); },
+        "HAWC-int8"};
 
     capture_config capture;
     capture.min_cluster_points = 20;
-    const crowd_counter counter{capture, model};
+    const crowd_counter counter{capture, int8};
     supervisor_config sup_cfg;
     sup_cfg.capture = capture;
-    frame_supervisor plain{sup_cfg, model};
-    frame_supervisor with_trace{sup_cfg, model};
-    frame_supervisor with_obs{sup_cfg, model};
+    frame_supervisor plain{sup_cfg, int8, &fp32};
+    frame_supervisor with_trace{sup_cfg, int8, &fp32};
+    frame_supervisor with_obs{sup_cfg, int8, &fp32};
 
     telemetry::trace_sink sink{16384};
     with_trace.set_trace_sink(&sink);
@@ -201,6 +209,7 @@ int main() {
         ok = ok && pass;
     };
     std::cout << "\n";
+    check(counted[supervised] > 0, "the supervisor counted no one on any frame");
     check(counted[traced] == counted[supervised], "counts diverged under tracing");
     check(counted[observed] == counted[supervised], "counts diverged under observability");
     check(sink.recorded() > 0, "trace sink recorded no spans");

@@ -108,6 +108,22 @@ using requant_fn = void (*)(const std::int32_t* acc, std::size_t n, float in_sca
                             float out_scale, std::int32_t out_zp, bool fused_relu,
                             std::int8_t* out);
 
+/// Input quantization: the back half of requant_fn on its own. Per
+/// element j in [0, n):
+///
+///   out[j] = quantize(in[j]) under the contract of
+///            quant_params::quantize with that scale and zero point:
+///            NaN -> the clamped zero-point code, +/-Inf -> the
+///            saturation endpoints, else round(in[j] / scale + zero_point)
+///            half away from zero, saturated to [-128, 127].
+///
+/// scale must be finite and > 0 (quant_params::from_range guarantees
+/// it). quantize_tensor runs every forward's input through this entry;
+/// tests/test_kernels.cpp pins every tier bit-exact against
+/// quant_params::quantize.
+using quantize_fn = void (*)(const float* in, std::size_t n, float scale,
+                             std::int32_t zero_point, std::int8_t* out);
+
 /// One dispatchable implementation tier.
 struct kernel_ops {
     isa_tier tier = isa_tier::scalar;
@@ -115,6 +131,7 @@ struct kernel_ops {
     qgemm_fn qgemm = nullptr;
     sgemm_fn sgemm = nullptr;
     requant_fn requant = nullptr;
+    quantize_fn quantize = nullptr;
 };
 
 /// Tiers compiled into this binary and supported by the running CPU,

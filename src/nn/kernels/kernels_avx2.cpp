@@ -173,51 +173,103 @@ inline __m256 round_half_away(__m256 x) {
     return _mm256_add_ps(t, _mm256_and_ps(bump, one));
 }
 
-void requant_avx2(const std::int32_t* acc, std::size_t n, float in_scale,
-                  const float* weight_scales, const float* bias, float out_scale,
-                  std::int32_t out_zp, bool fused_relu, std::int8_t* out) {
-    const __m256 vin = _mm256_set1_ps(in_scale);
-    const __m256 vscale = _mm256_set1_ps(out_scale);
-    const __m256 vzp = _mm256_set1_ps(static_cast<float>(out_zp));
-    const __m256 vzero = _mm256_setzero_ps();
-    const __m256 vhi = _mm256_set1_ps(127.0f);
-    const __m256 vlo = _mm256_set1_ps(-128.0f);
-    // Lane-wide ReLU switch: AND the real<0 mask with all-ones/all-zero
-    // instead of branching per lane.
-    const __m256 relu_on = _mm256_castsi256_ps(_mm256_set1_epi32(fused_relu ? -1 : 0));
-    const __m256i nan_code =
-        _mm256_set1_epi32(std::clamp(out_zp, -128, 127));  // NaN -> zero-point code
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256 a =
-            _mm256_cvtepi32_ps(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + j)));
-        // (float(acc) * in_scale) * weight_scale + bias — the contract's
-        // exact association, explicit mul then add (never fmadd).
-        __m256 real = _mm256_add_ps(
-            _mm256_mul_ps(_mm256_mul_ps(a, vin), _mm256_loadu_ps(weight_scales + j)),
-            _mm256_loadu_ps(bias + j));
-        const __m256 neg = _mm256_and_ps(_mm256_cmp_ps(real, vzero, _CMP_LT_OQ), relu_on);
-        real = _mm256_blendv_ps(real, vzero, neg);
-        const __m256 r = round_half_away(_mm256_add_ps(_mm256_div_ps(real, vscale), vzp));
+/// The float -> int8 back half of the requant contract, 8 lanes at a
+/// time: round(real / scale + zp) half away from zero, saturated, NaN
+/// lanes replaced by the zero-point code — requant_cast lane by lane.
+/// Shared by requant_avx2 and quantize_avx2.
+class quantize8 {
+public:
+    quantize8(float scale, std::int32_t zp)
+        : scale_{_mm256_set1_ps(scale)},
+          zp_{_mm256_set1_ps(static_cast<float>(zp))},
+          nan_code_{_mm256_set1_epi32(std::clamp(zp, -128, 127))} {}
+
+    /// The 8 int8 codes, in the low 64 bits.
+    __m128i codes(__m256 real) const {
+        const __m256 r = round_half_away(_mm256_add_ps(_mm256_div_ps(real, scale_), zp_));
         // max(min(r, 127), -128): minps/maxps pass their second operand
         // through on NaN, so NaN lanes land on an arbitrary in-range
         // value here — the unordered-compare blend below overrides them
         // with the zero-point code, matching requant_cast.
-        const __m256 clamped = _mm256_max_ps(_mm256_min_ps(r, vhi), vlo);
+        const __m256 clamped =
+            _mm256_max_ps(_mm256_min_ps(r, _mm256_set1_ps(127.0f)), _mm256_set1_ps(-128.0f));
         __m256i q = _mm256_cvttps_epi32(clamped);  // integral already; trunc is exact
-        const __m256i is_nan =
-            _mm256_castps_si256(_mm256_cmp_ps(real, real, _CMP_UNORD_Q));
-        q = _mm256_blendv_epi8(q, nan_code, is_nan);
+        const __m256i is_nan = _mm256_castps_si256(_mm256_cmp_ps(real, real, _CMP_UNORD_Q));
+        q = _mm256_blendv_epi8(q, nan_code_, is_nan);
         // Narrow 8 x int32 -> 8 x int8; values are in [-128, 127] so the
         // saturating packs are exact.
         const __m128i w16 =
             _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256(q, 1));
-        const __m128i b8 = _mm_packs_epi16(w16, w16);
-        _mm_storel_epi64(reinterpret_cast<__m128i*>(out + j), b8);
+        return _mm_packs_epi16(w16, w16);
     }
-    for (; j < n; ++j) {
-        out[j] = requant_one(acc[j], in_scale, weight_scales[j], bias[j], out_scale, out_zp,
-                             fused_relu);
+
+private:
+    __m256 scale_;
+    __m256 zp_;
+    __m256i nan_code_;
+};
+
+/// Lane mask selecting the first `count` (< 8) lanes. Masked loads read
+/// zeros into the other lanes, which compute a finite code that is never
+/// stored; this keeps remainders on the vector path instead of a libm
+/// roundf per element.
+inline __m256i first_lanes(std::size_t count) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// Store the first `count` (< 8) codes of `codes`.
+inline void store_first(__m128i codes, std::size_t count, std::int8_t* out) {
+    auto bytes = static_cast<std::uint64_t>(_mm_cvtsi128_si64(codes));
+    for (std::size_t i = 0; i < count; ++i, bytes >>= 8) {
+        out[i] = static_cast<std::int8_t>(bytes & 0xFF);
+    }
+}
+
+void requant_avx2(const std::int32_t* acc, std::size_t n, float in_scale,
+                  const float* weight_scales, const float* bias, float out_scale,
+                  std::int32_t out_zp, bool fused_relu, std::int8_t* out) {
+    const __m256 vin = _mm256_set1_ps(in_scale);
+    const __m256 vzero = _mm256_setzero_ps();
+    // Lane-wide ReLU switch: AND the real<0 mask with all-ones/all-zero
+    // instead of branching per lane.
+    const __m256 relu_on = _mm256_castsi256_ps(_mm256_set1_epi32(fused_relu ? -1 : 0));
+    const quantize8 quant{out_scale, out_zp};
+    const auto codes = [&](__m256i a, __m256 w, __m256 b) {
+        // (float(acc) * in_scale) * weight_scale + bias — the contract's
+        // exact association, explicit mul then add (never fmadd).
+        const __m256 real =
+            _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(a), vin), w), b);
+        const __m256 neg = _mm256_and_ps(_mm256_cmp_ps(real, vzero, _CMP_LT_OQ), relu_on);
+        return quant.codes(_mm256_blendv_ps(real, vzero, neg));
+    };
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        const __m128i q =
+            codes(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + j)),
+                  _mm256_loadu_ps(weight_scales + j), _mm256_loadu_ps(bias + j));
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(out + j), q);
+    }
+    if (j < n) {
+        const __m256i mask = first_lanes(n - j);
+        const __m128i q = codes(_mm256_maskload_epi32(acc + j, mask),
+                                _mm256_maskload_ps(weight_scales + j, mask),
+                                _mm256_maskload_ps(bias + j, mask));
+        store_first(q, n - j, out + j);
+    }
+}
+
+void quantize_avx2(const float* in, std::size_t n, float scale, std::int32_t zero_point,
+                   std::int8_t* out) {
+    const quantize8 quant{scale, zero_point};
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(out + j),
+                         quant.codes(_mm256_loadu_ps(in + j)));
+    }
+    if (j < n) {
+        store_first(quant.codes(_mm256_maskload_ps(in + j, first_lanes(n - j))), n - j,
+                    out + j);
     }
 }
 
@@ -227,7 +279,7 @@ const kernel_ops* avx2_kernels() {
     static const bool cpu_ok = __builtin_cpu_supports("avx2") != 0;
     if (!cpu_ok) return nullptr;
     static const kernel_ops ops{isa_tier::avx2, "avx2", &qgemm_avx2, &sgemm_avx2,
-                                &requant_avx2};
+                                &requant_avx2, &quantize_avx2};
     return &ops;
 }
 

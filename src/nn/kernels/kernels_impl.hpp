@@ -17,9 +17,10 @@ const kernel_ops* avx2_kernels();
 const kernel_ops* neon_kernels();
 
 /// The float -> int8 half of the requant contract (see requant_fn in
-/// kernels.hpp), shared by the scalar tier and the SIMD tiers' remainder
-/// lanes. Mirrors quant_params::quantize line for line — the quant layer
-/// sits above nn, so this is a pinned replica, not a call.
+/// kernels.hpp), shared by the scalar tier (requant and quantize) and
+/// the NEON tier's remainder lanes. Mirrors quant_params::quantize line
+/// for line — the quant layer sits above nn, so this is a pinned
+/// replica, not a call.
 inline std::int8_t requant_cast(float real, float out_scale, std::int32_t out_zp) {
     if (!std::isfinite(real)) {
         if (std::isnan(real)) {
@@ -31,8 +32,13 @@ inline std::int8_t requant_cast(float real, float out_scale, std::int32_t out_zp
     return static_cast<std::int8_t>(std::clamp(rounded, -128.0f, 127.0f));
 }
 
+/// The scalar tier's quantize entry (quantize_fn in kernels.hpp), also
+/// registered by tiers without a vector version of it.
+void quantize_scalar(const float* in, std::size_t n, float scale, std::int32_t zero_point,
+                     std::int8_t* out);
+
 /// One element of the requant contract including the scale/bias/ReLU
-/// front half; the tails of every tier funnel through this.
+/// front half; the scalar tier and the NEON tails funnel through this.
 inline std::int8_t requant_one(std::int32_t acc, float in_scale, float weight_scale,
                                float bias, float out_scale, std::int32_t out_zp,
                                bool fused_relu) {

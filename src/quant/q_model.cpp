@@ -1,11 +1,11 @@
 #include "quant/q_model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "nn/kernels/kernels.hpp"
 #include "quant/requantize.hpp"
 
@@ -13,70 +13,120 @@ namespace hawc {
 
 namespace {
 
+/// GEMM rows per block: output pixels for a conv, batch rows for a dense
+/// op. A block may span samples; one block is one im2col, one qgemm and
+/// one requant pass.
+constexpr std::size_t block_rows = 64;
+
+/// Stack capacities (elements) of the per-call scratch arrays: a 64-row
+/// block of every conv layer in the repo's models, and its input image,
+/// fits.
+constexpr std::size_t col_capacity = block_rows * 256;
+constexpr std::size_t acc_capacity = block_rows * 64;
+constexpr std::size_t image_capacity = 4096;
+
+/// A scratch array of n elements, on the stack when n <= Capacity and
+/// on the heap otherwise; it lives for one op call. The stack storage is
+/// left uninitialised: every element an op reads, it has written first.
+template <typename T, std::size_t Capacity>
+class scratch_array {
+public:
+    explicit scratch_array(std::size_t n) {
+        if (n > Capacity) heap_.resize(n);
+    }
+    T* data() { return heap_.empty() ? stack_.data() : heap_.data(); }
+
+private:
+    std::array<T, Capacity> stack_;
+    std::vector<T> heap_;
+};
+
+/// Rows per block for a GEMM with this activation stride and padded
+/// output width: as many as fit the stack capacities, at least one, at
+/// most block_rows. (A single row wider than a capacity takes the heap.)
+std::size_t rows_per_block(std::size_t a_stride, std::size_t padded_n) {
+    return std::clamp(std::min(col_capacity / a_stride, acc_capacity / padded_n),
+                      std::size_t{1}, block_rows);
+}
+
+/// Widen `count` int8 activations to int16 with the input zero point
+/// removed, the form the int8 microkernels consume.
+void widen(const std::int8_t* src, std::size_t count, std::int32_t zp, std::int16_t* dst) {
+    for (std::size_t i = 0; i < count; ++i) {
+        dst[i] = static_cast<std::int16_t>(static_cast<std::int32_t>(src[i]) - zp);
+    }
+}
+
 q_tensor run_conv(const q_conv_op& op, const q_tensor& in) {
     HAWC_REQUIRE(in.shape.size() == 4, "q_conv expects rank-4 input");
     const std::size_t batch = in.shape[0];
     const std::size_t in_h = in.shape[1];
     const std::size_t in_w = in.shape[2];
-    HAWC_REQUIRE(in.shape[3] == op.in_channels, "q_conv channel mismatch");
+    const std::size_t cin = op.in_channels;
+    HAWC_REQUIRE(in.shape[3] == cin, "q_conv channel mismatch");
     const std::size_t out_h = in_h + 2 * op.pad - op.kernel + 1;
     const std::size_t out_w = in_w + 2 * op.pad - op.kernel + 1;
+    const std::size_t oc = op.out_channels;
 
     q_tensor out;
-    out.shape = {batch, out_h, out_w, op.out_channels};
+    out.shape = {batch, out_h, out_w, oc};
     out.params = op.out_q;
-    out.data.resize(batch * out_h * out_w * op.out_channels);
+    out.data.resize(batch * out_h * out_w * oc);
 
-    const auto zp_in = static_cast<std::int32_t>(op.in_q.zero_point);
-    const std::size_t K = op.kernel * op.kernel * op.in_channels;
+    const std::size_t K = op.kernel * op.kernel * cin;
     const std::size_t a_stride = kernels::q_row_stride(K);
     const std::size_t pn = op.packed.padded_n();
+    const std::size_t rows = rows_per_block(a_stride, pn);
+    const std::size_t padded_w = in_w + 2 * op.pad;
+    const std::size_t sample_size = (in_h + 2 * op.pad) * padded_w * cin;
+    scratch_array<std::int16_t, col_capacity> col{rows * a_stride};
+    scratch_array<std::int32_t, acc_capacity> acc{rows * pn};
+    scratch_array<std::int16_t, image_capacity> image{sample_size};
     const kernels::kernel_ops& kern = kernels::active_kernels();
 
-    // Same im2col + GEMM structure as the float path (see nn/conv2d.cpp):
-    // the patch matrix stores (x - zp_in) widened to int16 so the
-    // dispatched microkernel runs branch-free over the packed weights.
-    // Integer accumulation is exact, so every ISA tier and every blocking
-    // produces bit-identical accumulators (kernels.hpp contract).
-    global_pool().parallel_for(0, batch * out_h, 4, [&](std::size_t lo, std::size_t hi,
-                                                        std::size_t /*slot*/) {
-        std::vector<std::int16_t> col(out_w * a_stride);
-        std::vector<std::int32_t> acc(out_w * pn);
-        for (std::size_t r = lo; r < hi; ++r) {
-            const std::size_t n = r / out_h;
-            const std::size_t oh = r % out_h;
-            std::fill(col.begin(), col.end(), std::int16_t{0});
-            for (std::size_t ow = 0; ow < out_w; ++ow) {
-                std::int16_t* dst = col.data() + ow * a_stride;
-                for (std::size_t kh = 0; kh < op.kernel; ++kh) {
-                    const std::ptrdiff_t ih = static_cast<std::ptrdiff_t>(oh + kh) -
-                                              static_cast<std::ptrdiff_t>(op.pad);
-                    if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(in_h)) continue;
-                    const std::size_t kw_lo = op.pad > ow ? op.pad - ow : 0;
-                    const std::size_t kw_hi = std::min(op.kernel, in_w + op.pad - ow);
-                    if (kw_lo >= kw_hi) continue;
-                    const std::int8_t* src =
-                        &in.data[((n * in_h + static_cast<std::size_t>(ih)) * in_w +
-                                  (ow + kw_lo - op.pad)) *
-                                 op.in_channels];
-                    std::int16_t* run = dst + (kh * op.kernel + kw_lo) * op.in_channels;
-                    const std::size_t count = (kw_hi - kw_lo) * op.in_channels;
-                    for (std::size_t i = 0; i < count; ++i) {
-                        run[i] = static_cast<std::int16_t>(static_cast<std::int32_t>(src[i]) -
-                                                           zp_in);
-                    }
-                }
-            }
-            std::fill(acc.begin(), acc.end(), 0);
-            kern.qgemm(col.data(), a_stride, op.packed, acc.data(), out_w);
-            std::int8_t* out_row = &out.data[(n * out_h + oh) * out_w * op.out_channels];
-            for (std::size_t ow = 0; ow < out_w; ++ow) {
-                requantize_row(acc.data() + ow * pn, op.out_channels, op.in_q.scale,
-                               op.weight_scales.data(), op.bias.data(), op.out_q,
-                               op.fused_relu, out_row + ow * op.out_channels);
-            }
+    // Same im2col + GEMM structure as the float path (see nn/conv2d.cpp).
+    // The current sample is widened once into `image`: (x - zp_in) as
+    // int16 with a zero border of `pad` pixels, the real-valued zero the
+    // padding stands for. Each output pixel's patch row, (kh, kw, ic)
+    // ascending, is then `kernel` contiguous runs of that image. Pixels
+    // walk the flattened (sample, row, column) space in blocks of `rows`;
+    // a block may span samples, since a patch row is complete once
+    // copied. Each pixel's accumulators depend only on its own patch row,
+    // and integer accumulation is exact, so any blocking gives the same
+    // int32 sums (kernels.hpp contract) and the same int8 outputs.
+    std::fill(image.data(), image.data() + sample_size, std::int16_t{0});
+    const auto load_sample = [&](std::size_t n) {
+        for (std::size_t ih = 0; ih < in_h; ++ih) {
+            widen(&in.data[(n * in_h + ih) * in_w * cin], in_w * cin, op.in_q.zero_point,
+                  image.data() + ((ih + op.pad) * padded_w + op.pad) * cin);
         }
-    });
+    };
+    const std::size_t run = op.kernel * cin;
+    const std::size_t pixels = batch * out_h * out_w;
+    std::size_t n = 0;
+    std::size_t oh = 0;
+    std::size_t ow = 0;
+    if (pixels > 0) load_sample(0);
+    for (std::size_t p0 = 0; p0 < pixels; p0 += rows) {
+        const std::size_t m = std::min(rows, pixels - p0);
+        for (std::size_t i = 0; i < m; ++i) {
+            std::int16_t* dst = col.data() + i * a_stride;
+            const std::int16_t* src = image.data() + (oh * padded_w + ow) * cin;
+            for (std::size_t kh = 0; kh < op.kernel; ++kh) {
+                std::copy_n(src + kh * padded_w * cin, run, dst + kh * run);
+            }
+            std::fill(dst + K, dst + a_stride, std::int16_t{0});
+            if (++ow < out_w) continue;
+            ow = 0;
+            if (++oh < out_h) continue;
+            oh = 0;
+            if (++n < batch) load_sample(n);
+        }
+        std::fill(acc.data(), acc.data() + m * pn, 0);
+        kern.qgemm(col.data(), a_stride, op.packed, acc.data(), m);
+        requantize_rows(kern, acc.data(), m, pn, oc, op.in_q.scale, op.weight_scales.data(),
+                        op.bias.data(), op.out_q, op.fused_relu, &out.data[p0 * oc]);
+    }
     return out;
 }
 
@@ -84,74 +134,69 @@ q_tensor run_dense(const q_dense_op& op, const q_tensor& in) {
     HAWC_REQUIRE(in.shape.size() == 2, "q_dense expects rank-2 input");
     HAWC_REQUIRE(in.shape[1] == op.in_features, "q_dense feature mismatch");
     const std::size_t batch = in.shape[0];
+    const std::size_t features = op.in_features;
 
     q_tensor out;
     out.shape = {batch, op.out_features};
     out.params = op.out_q;
     out.data.resize(batch * op.out_features);
 
-    const auto zp_in = static_cast<std::int32_t>(op.in_q.zero_point);
-    const std::size_t a_stride = kernels::q_row_stride(op.in_features);
+    const std::size_t a_stride = kernels::q_row_stride(features);
     const std::size_t pn = op.packed.padded_n();
+    const std::size_t rows = rows_per_block(a_stride, pn);
+    scratch_array<std::int16_t, col_capacity> col{rows * a_stride};
+    scratch_array<std::int32_t, acc_capacity> acc{rows * pn};
     const kernels::kernel_ops& kern = kernels::active_kernels();
 
-    // Parallel over batch rows with the same static-partitioning contract
-    // as run_conv: chunk boundaries depend only on (batch, grain, pool
-    // size) and each row writes a disjoint slice of out.data. Every chunk
-    // is one blocked qgemm over the packed weight tiles — the microkernel
-    // register-tiles multiple batch rows against each 8-column block, and
-    // integer accumulation makes the result bit-identical for every chunk
-    // shape and thread count.
-    global_pool().parallel_for(0, batch, 1, [&](std::size_t lo, std::size_t hi,
-                                                std::size_t /*slot*/) {
-        const std::size_t rows = hi - lo;
-        std::vector<std::int16_t> xw(rows * a_stride, 0);
-        std::vector<std::int32_t> acc(rows * pn, 0);
-        for (std::size_t n = lo; n < hi; ++n) {
-            const std::int8_t* in_row = &in.data[n * op.in_features];
-            std::int16_t* x_row = xw.data() + (n - lo) * a_stride;
-            for (std::size_t i = 0; i < op.in_features; ++i) {
-                x_row[i] =
-                    static_cast<std::int16_t>(static_cast<std::int32_t>(in_row[i]) - zp_in);
-            }
+    // Batch rows in blocks, one qgemm per block; as in run_conv, each
+    // row's accumulators depend only on that row, so the blocking cannot
+    // change a bit of the output.
+    for (std::size_t r0 = 0; r0 < batch; r0 += rows) {
+        const std::size_t m = std::min(rows, batch - r0);
+        for (std::size_t i = 0; i < m; ++i) {
+            std::int16_t* dst = col.data() + i * a_stride;
+            widen(&in.data[(r0 + i) * features], features, op.in_q.zero_point, dst);
+            std::fill(dst + features, dst + a_stride, std::int16_t{0});
         }
-        kern.qgemm(xw.data(), a_stride, op.packed, acc.data(), rows);
-        for (std::size_t n = lo; n < hi; ++n) {
-            requantize_row(acc.data() + (n - lo) * pn, op.out_features, op.in_q.scale,
-                           op.weight_scales.data(), op.bias.data(), op.out_q, op.fused_relu,
-                           &out.data[n * op.out_features]);
-        }
-    });
+        std::fill(acc.data(), acc.data() + m * pn, 0);
+        kern.qgemm(col.data(), a_stride, op.packed, acc.data(), m);
+        requantize_rows(kern, acc.data(), m, pn, op.out_features, op.in_q.scale,
+                        op.weight_scales.data(), op.bias.data(), op.out_q, op.fused_relu,
+                        &out.data[r0 * op.out_features]);
+    }
     return out;
 }
 
 q_tensor run_pool(const q_pool_op& op, const q_tensor& in) {
     HAWC_REQUIRE(in.shape.size() == 4, "q_pool expects rank-4 input");
     const std::size_t batch = in.shape[0];
+    const std::size_t in_h = in.shape[1];
+    const std::size_t in_w = in.shape[2];
     const std::size_t channels = in.shape[3];
-    const std::size_t out_h = in.shape[1] / op.window;
-    const std::size_t out_w = in.shape[2] / op.window;
+    const std::size_t out_h = in_h / op.window;
+    const std::size_t out_w = in_w / op.window;
 
     q_tensor out;
     out.shape = {batch, out_h, out_w, channels};
     out.params = in.params;  // max pooling preserves scale
-    out.data.resize(batch * out_h * out_w * channels);
+    out.data.assign(batch * out_h * out_w * channels, -128);
 
+    // Each output pixel is the element-wise max of the window's
+    // contiguous channel vectors (NHWC); max is exact in any order.
+    std::int8_t* dst = out.data.data();
     for (std::size_t n = 0; n < batch; ++n) {
         for (std::size_t oh = 0; oh < out_h; ++oh) {
-            for (std::size_t ow = 0; ow < out_w; ++ow) {
-                for (std::size_t c = 0; c < channels; ++c) {
-                    std::int8_t best = -128;
-                    for (std::size_t kh = 0; kh < op.window; ++kh) {
-                        for (std::size_t kw = 0; kw < op.window; ++kw) {
-                            const std::size_t ih = oh * op.window + kh;
-                            const std::size_t iw = ow * op.window + kw;
-                            best = std::max(
-                                best,
-                                in.data[((n * in.shape[1] + ih) * in.shape[2] + iw) * channels + c]);
+            for (std::size_t ow = 0; ow < out_w; ++ow, dst += channels) {
+                for (std::size_t kh = 0; kh < op.window; ++kh) {
+                    for (std::size_t kw = 0; kw < op.window; ++kw) {
+                        const std::int8_t* src =
+                            &in.data[((n * in_h + oh * op.window + kh) * in_w +
+                                      ow * op.window + kw) *
+                                     channels];
+                        for (std::size_t c = 0; c < channels; ++c) {
+                            dst[c] = std::max(dst[c], src[c]);
                         }
                     }
-                    out.data[((n * out_h + oh) * out_w + ow) * channels + c] = best;
                 }
             }
         }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/kernels/kernels.hpp"
+
 namespace hawc {
 
 quant_params quant_params::from_range(float lo, float hi) {
@@ -28,7 +30,8 @@ q_tensor quantize_tensor(const tensor& real, const quant_params& params) {
     out.shape = real.shape();
     out.params = params;
     out.data.resize(real.size());
-    for (std::size_t i = 0; i < real.size(); ++i) out.data[i] = params.quantize(real[i]);
+    kernels::active_kernels().quantize(real.data(), real.size(), params.scale,
+                                       params.zero_point, out.data.data());
     return out;
 }
 

@@ -42,9 +42,9 @@ struct quant_params {
     /// unordered (both comparisons false) and casting the resulting NaN
     /// to int8 is undefined behaviour. NaN carries no magnitude, so it
     /// maps to the zero code; infinities saturate like any out-of-range
-    /// value. The kernel layer's fused requantize tiers replicate this
-    /// exact contract (nn/kernels/kernels.hpp; nn cannot link against
-    /// quant) — tests/test_kernels.cpp pins them together.
+    /// value. The kernel layer's requant and quantize tiers replicate
+    /// this exact contract (nn/kernels/kernels.hpp; nn cannot link
+    /// against quant) — tests/test_kernels.cpp pins them together.
     std::int8_t quantize(float real) const {
         if (!std::isfinite(real)) {
             if (std::isnan(real)) {
@@ -69,7 +69,8 @@ struct q_tensor {
     std::size_t size() const { return data.size(); }
 };
 
-/// Quantize a float tensor with the given parameters.
+/// Quantize a float tensor with the given parameters: quant_params::quantize
+/// per element, through the dispatched kernel tier's quantize entry.
 q_tensor quantize_tensor(const tensor& real, const quant_params& params);
 
 /// Dequantize back to float (for the final logits).

@@ -92,6 +92,7 @@ TEST(kernel_dispatch, scalar_always_registered_and_last) {
         ASSERT_NE(t->qgemm, nullptr);
         ASSERT_NE(t->sgemm, nullptr);
         ASSERT_NE(t->requant, nullptr);
+        ASSERT_NE(t->quantize, nullptr);
         EXPECT_EQ(kernels::find_kernels(t->name), t);
         EXPECT_STREQ(kernels::isa_name(t->tier), t->name);
     }
@@ -258,29 +259,73 @@ TEST(kernel_parity, requant_rounding_saturation_and_nonfinite_edges) {
     // quantized value q = real/scale + zp to exact values with scale=1,
     // zp=0: half-ties must round away from zero, out-of-range must
     // saturate, NaN must map to the zero-point code and infinities to the
-    // endpoints — in the vector body, not just the scalar tail, hence 16
-    // lanes.
+    // endpoints — in the vector body (16 lanes) and in the remainder
+    // lanes (the first 15: NaN and both infinities land in a 7-lane
+    // remainder).
     const float inf = std::numeric_limits<float>::infinity();
     const float qnan = std::numeric_limits<float>::quiet_NaN();
     const std::vector<float> reals = {0.5f,    -0.5f,   2.5f,  -2.5f,     126.5f, -127.5f,
                                       127.49f, -128.5f, 200.0f, -200.0f,  0.49999997f,
                                       -0.49999997f,     qnan,  inf,      -inf,    8388609.0f};
-    const std::size_t n = reals.size();
-    const std::vector<std::int32_t> acc(n, 0);
-    const std::vector<float> ws(n, 1.0f);
+    const std::vector<std::int32_t> acc(reals.size(), 0);
+    const std::vector<float> ws(reals.size(), 1.0f);
     quant_params out_q;  // scale 1, zero_point 0
-    for (const std::int32_t zp : {0, -5}) {
-        out_q.zero_point = zp;
-        std::vector<std::int8_t> want(n), got(n);
-        requant_oracle(acc.data(), n, 1.0f, ws.data(), reals.data(), out_q, false,
-                       want.data());
-        for (const auto* tier : kernels::registered_kernels()) {
-            tier->requant(acc.data(), n, 1.0f, ws.data(), reals.data(), out_q.scale,
-                          out_q.zero_point, false, got.data());
-            for (std::size_t j = 0; j < n; ++j) {
-                ASSERT_EQ(got[j], want[j])
-                    << tier->name << " real=" << reals[j] << " zp=" << zp;
+    for (const std::size_t n : {reals.size(), reals.size() - 1}) {
+        for (const std::int32_t zp : {0, -5}) {
+            out_q.zero_point = zp;
+            std::vector<std::int8_t> want(n), got(n);
+            requant_oracle(acc.data(), n, 1.0f, ws.data(), reals.data(), out_q, false,
+                           want.data());
+            for (const auto* tier : kernels::registered_kernels()) {
+                tier->requant(acc.data(), n, 1.0f, ws.data(), reals.data(), out_q.scale,
+                              out_q.zero_point, false, got.data());
+                for (std::size_t j = 0; j < n; ++j) {
+                    ASSERT_EQ(got[j], want[j])
+                        << tier->name << " real=" << reals[j] << " zp=" << zp << " n=" << n;
+                }
             }
+        }
+    }
+}
+
+TEST(kernel_parity, quantize_every_tier_matches_quantize_contract) {
+    // Edge values first: half-ties at both signs, saturation, NaN and the
+    // infinities, 16 lanes so the vector body sees every one (scale 1
+    // makes q = real + zp exact).
+    const float inf = std::numeric_limits<float>::infinity();
+    const float qnan = std::numeric_limits<float>::quiet_NaN();
+    const std::vector<float> edges = {0.5f,    -0.5f,   2.5f,   -2.5f,     126.5f, -127.5f,
+                                      127.49f, -128.5f, 200.0f, -200.0f,   0.49999997f,
+                                      -0.49999997f,     qnan,   inf,       -inf,   8388609.0f};
+    for (const std::int32_t zp : {0, -5, 127, 300}) {
+        quant_params q;  // scale 1
+        q.zero_point = zp;
+        std::vector<std::int8_t> got(edges.size());
+        for (const auto* tier : kernels::registered_kernels()) {
+            tier->quantize(edges.data(), edges.size(), q.scale, q.zero_point, got.data());
+            for (std::size_t j = 0; j < edges.size(); ++j) {
+                ASSERT_EQ(got[j], q.quantize(edges[j]))
+                    << tier->name << " real=" << edges[j] << " zp=" << zp;
+            }
+        }
+    }
+    // Random tensors whose lengths are not multiples of 8, so every
+    // tier's remainder lanes run too, with edge values sprinkled in.
+    rng r{53};
+    const quant_params q = quant_params::from_range(-3.1f, 5.7f);
+    for (const std::size_t n : {1u, 7u, 9u, 15u, 23u, 1575u}) {
+        std::vector<float> in(n);
+        for (auto& v : in) {
+            v = r.uniform(0.0, 1.0) < 0.1
+                    ? edges[static_cast<std::size_t>(r.uniform(0.0, 16.0)) % edges.size()]
+                    : static_cast<float>(r.normal(0.0, 3.0));
+        }
+        std::vector<std::int8_t> want(n), got(n);
+        for (std::size_t j = 0; j < n; ++j) want[j] = q.quantize(in[j]);
+        for (const auto* tier : kernels::registered_kernels()) {
+            std::fill(got.begin(), got.end(), std::int8_t{42});
+            tier->quantize(in.data(), n, q.scale, q.zero_point, got.data());
+            ASSERT_EQ(std::memcmp(got.data(), want.data(), n), 0) << tier->name << " n=" << n;
         }
     }
 }

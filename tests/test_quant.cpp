@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <variant>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -13,11 +14,13 @@
 #include "nn/batch_norm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
+#include "nn/kernels/kernels.hpp"
 #include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
 #include "quant/calibrate.hpp"
 #include "quant/q_model.hpp"
 #include "quant/q_types.hpp"
+#include "replay/model_io.hpp"
 
 namespace hawc {
 namespace {
@@ -192,6 +195,253 @@ TEST(quantize_model, batched_inference) {
     const tensor out = q.forward(batch);
     EXPECT_EQ(out.dim(0), 5u);
     EXPECT_EQ(out.dim(1), 2u);
+    // Each row of a batched forward is the batch-1 forward of that row.
+    for (std::size_t n = 0; n < 5; ++n) {
+        tensor row{{1, 4}};
+        for (std::size_t i = 0; i < 4; ++i) row[i] = batch[n * 4 + i];
+        const tensor single = q.forward(row);
+        EXPECT_EQ(single[0], out[n * 2]) << "row " << n;
+        EXPECT_EQ(single[1], out[n * 2 + 1]) << "row " << n;
+    }
+}
+
+// ---- Direct-loop reference forward ---------------------------------------
+// The int8 contract written out as plain loops over the unpacked
+// op.weights: int32 accumulation per output element, then the requant
+// contract (kernels.hpp requant_fn) through quant_params::quantize. No
+// im2col, packed weights or kernel table, so a blocking, packing or
+// dispatch bug in quantized_model::forward cannot hide on both sides.
+
+std::int8_t reference_requant(std::int32_t acc, float in_scale, float weight_scale, float bias,
+                              bool relu, const quant_params& out_q) {
+    float real = static_cast<float>(acc) * in_scale * weight_scale + bias;
+    if (relu && real < 0.0f) real = 0.0f;
+    return out_q.quantize(real);
+}
+
+q_tensor reference_conv(const q_conv_op& op, const q_tensor& in) {
+    const std::size_t batch = in.shape[0];
+    const std::size_t in_h = in.shape[1];
+    const std::size_t in_w = in.shape[2];
+    const std::size_t out_h = in_h + 2 * op.pad - op.kernel + 1;
+    const std::size_t out_w = in_w + 2 * op.pad - op.kernel + 1;
+    q_tensor out;
+    out.shape = {batch, out_h, out_w, op.out_channels};
+    out.params = op.out_q;
+    for (std::size_t n = 0; n < batch; ++n) {
+        for (std::size_t oh = 0; oh < out_h; ++oh) {
+            for (std::size_t ow = 0; ow < out_w; ++ow) {
+                for (std::size_t oc = 0; oc < op.out_channels; ++oc) {
+                    std::int32_t acc = 0;
+                    for (std::size_t kh = 0; kh < op.kernel; ++kh) {
+                        for (std::size_t kw = 0; kw < op.kernel; ++kw) {
+                            const auto ih = static_cast<std::ptrdiff_t>(oh + kh) -
+                                            static_cast<std::ptrdiff_t>(op.pad);
+                            const auto iw = static_cast<std::ptrdiff_t>(ow + kw) -
+                                            static_cast<std::ptrdiff_t>(op.pad);
+                            if (ih < 0 || iw < 0 || ih >= static_cast<std::ptrdiff_t>(in_h) ||
+                                iw >= static_cast<std::ptrdiff_t>(in_w)) {
+                                continue;  // zero padding: real 0, contributes nothing
+                            }
+                            for (std::size_t ic = 0; ic < op.in_channels; ++ic) {
+                                const std::int32_t x =
+                                    in.data[((n * in_h + static_cast<std::size_t>(ih)) * in_w +
+                                             static_cast<std::size_t>(iw)) *
+                                                op.in_channels +
+                                            ic] -
+                                    op.in_q.zero_point;
+                                const std::int32_t w =
+                                    op.weights[((kh * op.kernel + kw) * op.in_channels + ic) *
+                                                   op.out_channels +
+                                               oc];
+                                acc += x * w;
+                            }
+                        }
+                    }
+                    out.data.push_back(reference_requant(acc, op.in_q.scale,
+                                                         op.weight_scales[oc], op.bias[oc],
+                                                         op.fused_relu, op.out_q));
+                }
+            }
+        }
+    }
+    return out;
+}
+
+q_tensor reference_dense(const q_dense_op& op, const q_tensor& in) {
+    q_tensor out;
+    out.shape = {in.shape[0], op.out_features};
+    out.params = op.out_q;
+    for (std::size_t n = 0; n < in.shape[0]; ++n) {
+        for (std::size_t o = 0; o < op.out_features; ++o) {
+            std::int32_t acc = 0;
+            for (std::size_t i = 0; i < op.in_features; ++i) {
+                acc += (in.data[n * op.in_features + i] - op.in_q.zero_point) *
+                       static_cast<std::int32_t>(op.weights[i * op.out_features + o]);
+            }
+            out.data.push_back(reference_requant(acc, op.in_q.scale, op.weight_scales[o],
+                                                 op.bias[o], op.fused_relu, op.out_q));
+        }
+    }
+    return out;
+}
+
+/// Max over `window` x `window` tiles (global: the whole plane).
+q_tensor reference_max_pool(const q_tensor& in, std::size_t window_h, std::size_t window_w) {
+    const std::size_t batch = in.shape[0];
+    const std::size_t channels = in.shape[3];
+    const std::size_t out_h = in.shape[1] / window_h;
+    const std::size_t out_w = in.shape[2] / window_w;
+    q_tensor out;
+    out.shape = {batch, out_h, out_w, channels};
+    out.params = in.params;
+    for (std::size_t n = 0; n < batch; ++n) {
+        for (std::size_t oh = 0; oh < out_h; ++oh) {
+            for (std::size_t ow = 0; ow < out_w; ++ow) {
+                for (std::size_t c = 0; c < channels; ++c) {
+                    std::int8_t best = -128;
+                    for (std::size_t kh = 0; kh < window_h; ++kh) {
+                        for (std::size_t kw = 0; kw < window_w; ++kw) {
+                            best = std::max(
+                                best, in.data[((n * in.shape[1] + oh * window_h + kh) *
+                                                   in.shape[2] +
+                                               ow * window_w + kw) *
+                                                  channels +
+                                              c]);
+                        }
+                    }
+                    out.data.push_back(best);
+                }
+            }
+        }
+    }
+    return out;
+}
+
+tensor reference_forward(const quantized_model& model, const tensor& input) {
+    q_tensor x;
+    x.shape = input.shape();
+    x.params = model.input_params();
+    for (std::size_t i = 0; i < input.size(); ++i) x.data.push_back(x.params.quantize(input[i]));
+    for (std::size_t i = 0; i < model.op_count(); ++i) {
+        const q_op& op = model.op_at(i);
+        if (const auto* conv = std::get_if<q_conv_op>(&op)) {
+            x = reference_conv(*conv, x);
+        } else if (const auto* fc = std::get_if<q_dense_op>(&op)) {
+            x = reference_dense(*fc, x);
+        } else if (const auto* pool = std::get_if<q_pool_op>(&op)) {
+            x = reference_max_pool(x, pool->window, pool->window);
+        } else if (std::holds_alternative<q_global_pool_op>(op)) {
+            x = reference_max_pool(x, x.shape[1], x.shape[2]);
+        } else {
+            x.shape = {x.shape[0], x.data.size() / x.shape[0]};
+        }
+    }
+    tensor out{x.shape};
+    for (std::size_t i = 0; i < x.data.size(); ++i) out[i] = x.params.dequantize(x.data[i]);
+    return out;
+}
+
+/// Random inputs of `sample_shape` for batches of 1, 2 and 5 (so conv
+/// pixel blocks span samples), seeded with NaN, +/-Inf, saturating
+/// magnitudes and values that land exactly on a .5 rounding tie of the
+/// input quantization.
+std::vector<tensor> reference_inputs(const quant_params& in_q,
+                                     std::vector<std::size_t> sample_shape, rng& r) {
+    std::vector<float> edges = {std::numeric_limits<float>::quiet_NaN(),
+                                std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity(), 1.0e6f, -1.0e6f};
+    std::size_t ties = 0;
+    for (int k = -130; k <= 130; k += 7) {
+        const float tie = (static_cast<float>(k) + 0.5f) * in_q.scale;
+        const float q = tie / in_q.scale + static_cast<float>(in_q.zero_point);
+        if (q - std::floor(q) == 0.5f) {
+            edges.push_back(tie);
+            ++ties;
+        }
+    }
+    EXPECT_GT(ties, 10u) << "no exact .5 ties at scale " << in_q.scale;
+    std::vector<tensor> inputs;
+    for (const std::size_t batch : {1u, 2u, 5u}) {
+        std::vector<std::size_t> shape{batch};
+        shape.insert(shape.end(), sample_shape.begin(), sample_shape.end());
+        tensor t = random_tensor(shape, r, 2.0);
+        for (std::size_t i = 0; i < t.size(); ++i) {
+            if (r.uniform(0.0, 1.0) < 0.2) {
+                t[i] = edges[static_cast<std::size_t>(r.uniform(0.0, 1.0) *
+                                                      static_cast<double>(edges.size())) %
+                             edges.size()];
+            }
+        }
+        inputs.push_back(std::move(t));
+    }
+    return inputs;
+}
+
+/// quantized_model::forward equals the reference bit for bit on every
+/// registered kernel tier.
+void expect_forward_matches_reference(const quantized_model& q,
+                                      std::vector<std::size_t> sample_shape, rng& r) {
+    for (const tensor& input : reference_inputs(q.input_params(), std::move(sample_shape), r)) {
+        const tensor want = reference_forward(q, input);
+        for (const auto* tier : kernels::registered_kernels()) {
+            kernels::set_active_kernels_for_testing(tier);
+            const tensor got = q.forward(input);
+            ASSERT_EQ(got.shape(), want.shape()) << tier->name;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i], want[i])
+                    << tier->name << " batch " << input.dim(0) << " logit " << i;
+            }
+        }
+        kernels::set_active_kernels_for_testing(nullptr);
+    }
+}
+
+TEST(quantize_model, golden_model_forward_matches_direct_loop_reference) {
+    const quantized_model q =
+        replay::load_quantized_file(std::string{HAWC_GOLDEN_DIR} + "/hawc_int8.qmodel");
+    ASSERT_TRUE(std::holds_alternative<q_conv_op>(q.op_at(0)));
+    rng r{41};
+    // The golden HAWC input: a 15 x 15 HAP grid with 7 channels.
+    expect_forward_matches_reference(q, {15, 15, 7}, r);
+}
+
+TEST(quantize_model, padded_conv_net_forward_matches_direct_loop_reference) {
+    // 12 output channels pad to 16 packed columns (padded_n != out_channels);
+    // K = 27 is odd (pair padding); 81 pixels a sample put the first block
+    // boundary inside the first sample; the second conv is unpadded.
+    rng r{42};
+    sequential net;
+    net.emplace<conv2d>(3, 12, 3, padding::same, r);
+    net.emplace<relu>();
+    net.emplace<max_pool2d>(2);
+    net.emplace<conv2d>(12, 12, 3, padding::valid, r);
+    net.emplace<relu>();
+    net.emplace<flatten>();
+    net.emplace<dense>(12 * 2 * 2, 10, r);
+    net.emplace<relu>();
+    net.emplace<dense>(10, 2, r);
+    std::vector<tensor> calibration;
+    for (int i = 0; i < 8; ++i) calibration.push_back(random_tensor({1, 9, 9, 3}, r));
+    const quantized_model q = quantize_model(net, calibration);
+    ASSERT_NE(std::get<q_conv_op>(q.op_at(0)).packed.padded_n(), 12u);
+    expect_forward_matches_reference(q, {9, 9, 3}, r);
+}
+
+TEST(quantize_model, wide_layer_forward_matches_direct_loop_reference) {
+    // Layers past the forward's stack scratch: a 40 x 40 x 3 input (its
+    // zero-bordered image) and a 17600-feature dense row both take the
+    // heap, and a dense block holds a single row.
+    rng r{43};
+    sequential net;
+    net.emplace<conv2d>(3, 11, 3, padding::same, r);
+    net.emplace<relu>();
+    net.emplace<flatten>();
+    net.emplace<dense>(40 * 40 * 11, 2, r);
+    std::vector<tensor> calibration;
+    for (int i = 0; i < 4; ++i) calibration.push_back(random_tensor({1, 40, 40, 3}, r));
+    const quantized_model q = quantize_model(net, calibration);
+    expect_forward_matches_reference(q, {40, 40, 3}, r);
 }
 
 TEST(quantize_model, op_infos_track_shapes) {
