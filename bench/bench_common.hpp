@@ -2,8 +2,8 @@
 
 // Shared infrastructure for the paper-reproduction benches: standard
 // dataset/model configurations, a fast-mode switch, helpers to print
-// measured-vs-paper rows, and the timing core that bench_overhead and
-// bench_snapshot measure with.
+// measured-vs-paper rows, and the timing core that bench_overhead
+// measures with.
 //
 // Every bench is deterministic given its seeds. Set HAWC_BENCH_FAST=1 to
 // run a reduced configuration (smaller dataset, fewer epochs) when

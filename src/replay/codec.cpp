@@ -31,9 +31,11 @@ std::size_t lz_max_compressed_size(std::size_t n) {
     return n + n / 255 + 16;
 }
 
-std::size_t lz_compress_into(const void* src_v, std::size_t n, std::vector<char>& out) {
+std::size_t lz_compress_into(const void* src_v, std::size_t n, std::vector<char>& out,
+                             lz_work* work) {
     HAWC_REQUIRE(n <= lz_max_input_size, "lz_compress input exceeds the 1 GiB cap");
     out.clear();
+    if (work != nullptr) *work = {};
     if (n == 0) return 0;
     const auto* src = static_cast<const unsigned char*>(src_v);
     out.reserve(lz_max_compressed_size(n));
@@ -71,8 +73,10 @@ std::size_t lz_compress_into(const void* src_v, std::size_t n, std::vector<char>
     std::size_t anchor = 0;
     std::size_t pos = 0;
     std::size_t miss_streak = 0;  // consecutive positions with no usable match
+    lz_work done;
     while (pos + min_match <= n) {
         const std::uint32_t h = hash4(read32(src + pos));
+        ++done.hashed;
         std::size_t best_len = 0;
         std::size_t best_offset = 0;
         std::int32_t candidate = head[h];
@@ -80,6 +84,7 @@ std::size_t lz_compress_into(const void* src_v, std::size_t n, std::vector<char>
             const auto cand = static_cast<std::size_t>(candidate);
             const std::size_t offset = pos - cand;
             if (offset > max_offset) break;  // chain only gets older
+            ++done.compared;
             const std::size_t max_len = n - pos;
             std::size_t len = 0;
             while (len < max_len && src[cand + len] == src[pos + len]) ++len;
@@ -95,6 +100,7 @@ std::size_t lz_compress_into(const void* src_v, std::size_t n, std::vector<char>
             const std::size_t end = pos + best_len;
             while (pos < end && pos + min_match <= n) {
                 const std::uint32_t hh = hash4(read32(src + pos));
+                ++done.hashed;
                 prev[pos] = head[hh];
                 head[hh] = static_cast<std::int32_t>(pos);
                 ++pos;
@@ -115,6 +121,7 @@ std::size_t lz_compress_into(const void* src_v, std::size_t n, std::vector<char>
         }
     }
     emit_sequence(anchor, n - anchor, 0, 0);
+    if (work != nullptr) *work = done;
     return out.size();
 }
 

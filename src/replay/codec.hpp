@@ -41,9 +41,19 @@ inline constexpr std::size_t lz_max_input_size = std::size_t{1} << 30;
 /// per 255 literals).
 std::size_t lz_max_compressed_size(std::size_t n);
 
+/// Match-finder work of one compress call: positions hashed and chain
+/// candidates compared. Skip acceleration keeps both far below the input
+/// size on incompressible data.
+struct lz_work {
+    std::size_t hashed = 0;
+    std::size_t compared = 0;
+};
+
 /// Compress src[0, n) into `out` (replacing its contents). Returns the
-/// compressed size (== out.size()).
-std::size_t lz_compress_into(const void* src, std::size_t n, std::vector<char>& out);
+/// compressed size (== out.size()). When `work` is set, it receives the
+/// call's match-finder work.
+std::size_t lz_compress_into(const void* src, std::size_t n, std::vector<char>& out,
+                             lz_work* work = nullptr);
 std::vector<char> lz_compress(const void* src, std::size_t n);
 
 /// Decompress src[0, n) into dst[0, dst_size). The stream must produce

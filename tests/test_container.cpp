@@ -156,6 +156,46 @@ TEST(codec, incompressible_input_round_trips_within_bound) {
     EXPECT_EQ(lz_decompress(packed.data(), packed.size(), noise.size()), noise);
 }
 
+TEST(codec, skip_acceleration_bounds_work_on_noise) {
+    // 1 MiB of float32 sensor noise has no match worth emitting. Skip
+    // acceleration must give up on it after a small share of positions;
+    // a step fixed at 1 hashes every position and walks full chains.
+    rng r{2026};
+    std::vector<float> noise(std::size_t{1} << 18);
+    for (float& v : noise) v = static_cast<float>(r.uniform(-50.0, 50.0));
+    const std::size_t n = noise.size() * sizeof(float);
+    std::vector<char> packed;
+    lz_work work;
+    lz_compress_into(noise.data(), n, packed, &work);
+    EXPECT_GT(work.hashed, 0u);
+    EXPECT_LT(work.hashed + work.compared, n / 16)
+        << "hashed " << work.hashed << ", compared " << work.compared << " on " << n << " bytes";
+    EXPECT_LE(packed.size(), lz_max_compressed_size(n));
+
+    // Redundant stretches after the noise still compress: blocks of 48
+    // noise bytes and 208 bytes of one recorded point repeated. Each match
+    // resets the step, so the next block's repeat is found at its start;
+    // a step left wide (~180 bytes) skips most of it, and the tail packs
+    // to ~76% of its size instead of ~21%.
+    const float point[3] = {12.5f, -1.25f, -2.875f};
+    std::vector<char> input(reinterpret_cast<const char*>(noise.data()),
+                            reinterpret_cast<const char*>(noise.data()) + n);
+    const std::size_t blocks = 1024;
+    for (std::size_t b = 0; b < blocks; ++b) {
+        for (std::size_t i = 0; i < 12; ++i) {
+            const auto v = static_cast<float>(r.uniform(-50.0, 50.0));
+            const auto* bytes = reinterpret_cast<const char*>(&v);
+            input.insert(input.end(), bytes, bytes + sizeof(v));
+        }
+        for (std::size_t i = 0; i < 208; ++i) {
+            input.push_back(reinterpret_cast<const char*>(point)[i % sizeof(point)]);
+        }
+    }
+    lz_compress_into(input.data(), input.size(), packed);
+    EXPECT_LT(packed.size(), lz_max_compressed_size(n) + blocks * 256 / 2);
+    EXPECT_EQ(lz_decompress(packed.data(), packed.size(), input.size()), input);
+}
+
 TEST(codec, property_random_structured_inputs_round_trip) {
     // Fuzz-ish sweep: random mixtures of literal noise, repeated blocks
     // and long-range copies — the shapes the match finder must handle.

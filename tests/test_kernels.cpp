@@ -100,11 +100,30 @@ TEST(kernel_dispatch, scalar_always_registered_and_last) {
 }
 
 TEST(kernel_dispatch, forcing_hook_overrides_selection) {
+    // The selection the hook restores is the env/probe one, which is not
+    // the best tier when HAWC_KERNEL_ISA forces another.
+    const kernels::kernel_ops* selected = &kernels::active_kernels();
     const kernels::kernel_ops* scalar = kernels::find_kernels("scalar");
     kernels::set_active_kernels_for_testing(scalar);
     EXPECT_EQ(&kernels::active_kernels(), scalar);
     kernels::set_active_kernels_for_testing(nullptr);
-    EXPECT_EQ(&kernels::active_kernels(), kernels::registered_kernels().front());
+    EXPECT_EQ(&kernels::active_kernels(), selected);
+}
+
+// A SIMD tier whose table points an entry back at the scalar code still
+// passes every parity test but runs the pipeline at scalar speed (a
+// dropped dispatch tier). Every AVX2 entry must be AVX2 code; the fp32
+// sgemm is covered here only, as no benchmark workload runs the fp32
+// conv. (NEON reuses the scalar quantize on purpose.)
+TEST(kernel_dispatch, simd_tier_owns_its_entries) {
+    const kernels::kernel_ops* avx2 = kernels::find_kernels("avx2");
+    if (avx2 == nullptr) GTEST_SKIP() << "AVX2 is not registered on this CPU";
+    const kernels::kernel_ops* scalar = kernels::find_kernels("scalar");
+    ASSERT_NE(scalar, nullptr);
+    EXPECT_NE(avx2->qgemm, scalar->qgemm);
+    EXPECT_NE(avx2->sgemm, scalar->sgemm);
+    EXPECT_NE(avx2->requant, scalar->requant);
+    EXPECT_NE(avx2->quantize, scalar->quantize);
 }
 
 TEST(kernel_dispatch, isa_gauges_report_active_tier) {
